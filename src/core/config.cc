@@ -34,8 +34,6 @@ size_t SePrivGEmbConfig::ResolvedThreads() const {
 std::string SePrivGEmbConfig::ResolvedProximityCachePath() const {
   if (proximity_cache_path == "-") return "";  // forced off
   if (!proximity_cache_path.empty()) return proximity_cache_path;
-  // Same knob ProximityCacheDirFromEnv() reads; duplicated here so the core
-  // config doesn't pull in the whole proximity-engine header for one getenv.
   return GetStringEnv("SEPRIV_PROXIMITY_CACHE");
 }
 

@@ -84,22 +84,23 @@ struct SePrivGEmbConfig {
   /// num_threads with the auto policy applied (always >= 1).
   size_t ResolvedThreads() const;
 
-  /// Shard count of the structure-preference precompute. 1 (default) runs
-  /// the whole-graph parallel pass; > 1 routes the proximity-kind
-  /// constructor through the shard-granular engine (graph/shard.h) with
-  /// this many node-range shards — the same code path out-of-core training
-  /// uses, bit-identical output for every value. Mainly a test/bench knob:
-  /// real out-of-core callers go through TrainOutOfCore with a disk store.
+  /// Shard count of the structure-preference precompute: the proximity-kind
+  /// constructor runs the shard-granular engine (proximity_engine.h) over an
+  /// InMemoryGraphStore with this many node-range shards — the same code
+  /// path out-of-core training uses, bit-identical output for every value.
+  /// 1 (default) is the whole-graph case. Mainly a test/bench knob: real
+  /// out-of-core callers go through TrainOutOfCore with a disk store.
   size_t proximity_shards = 1;
 
-  /// Directory of the persistent edge-weight cache consulted before the
+  /// Root of the persistent per-shard edge-weight cache consulted before the
   /// proximity precompute (see proximity/proximity_engine.h). Empty = auto:
   /// the SEPRIV_PROXIMITY_CACHE environment variable if set, else caching is
   /// disabled; "-" forces caching OFF even when the environment variable is
-  /// set (e.g. an uncached baseline inside a cached test sweep). Entries are
-  /// keyed by graph fingerprint + provider name + options, so one directory
-  /// can safely serve many graphs and sweeps; stale or corrupt entries are
-  /// recomputed, never trusted.
+  /// set (e.g. an uncached baseline inside a cached test sweep). Entries live
+  /// at proxshard_<graph-fp>_<key>/shard_<i>_<shard-fp>.bin (key = provider
+  /// name + options), so one directory can safely serve many graphs, shard
+  /// counts and sweeps; stale or corrupt entries are recomputed, never
+  /// trusted. A warm hit still constructs the precompute's thread pool.
   std::string proximity_cache_path;
 
   /// proximity_cache_path with the auto policy applied (may be empty:

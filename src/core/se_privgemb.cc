@@ -289,24 +289,18 @@ SePrivGEmb::SePrivGEmb(const Graph& graph, ProximityKind preference,
                        const SePrivGEmbConfig& config,
                        const ProximityOptions& prox_opts)
     : graph_(graph), config_(config) {
-  // The structure-preference precompute runs on the parallel proximity
+  // The structure-preference precompute runs on the sharded proximity
   // engine (cache-through when a cache directory is configured): the output
-  // is bit-identical to the serial ComputeEdgeProximities for every thread
-  // count and for the warm-cache path. Workers are spun up only on a miss.
-  // proximity_shards > 1 exercises the shard-granular engine instead —
-  // still bit-identical (the finalisation arithmetic is shared).
+  // is bit-identical to the serial ComputeEdgeProximities for every shard
+  // count, thread count and cache state. proximity_shards 1 is the
+  // whole-graph case (the shard planner clamps 0 to 1); larger values
+  // exercise the out-of-core shard walk.
   const auto provider = MakeProximity(preference, graph, prox_opts);
-  EdgeProximity prox;
-  if (config_.proximity_shards > 1) {
-    InMemoryGraphStore store(graph, config_.proximity_shards);
-    ThreadPool pool(config_.ResolvedThreads());
-    prox = ShardedEdgeProximities(store, *provider, prox_opts, pool,
-                                  config_.ResolvedProximityCachePath());
-  } else {
-    prox = CachedEdgeProximities(graph, *provider, prox_opts,
-                                 config_.ResolvedThreads(),
-                                 config_.ResolvedProximityCachePath());
-  }
+  InMemoryGraphStore store(graph, config_.proximity_shards);
+  ThreadPool pool(config_.ResolvedThreads());
+  EdgeProximity prox =
+      ShardedEdgeProximities(store, *provider, prox_opts, pool,
+                             config_.ResolvedProximityCachePath());
   if (config_.normalize_proximity) {
     owned_weights_ = std::move(prox.normalized);
     min_weight_ = prox.normalized_min_positive;

@@ -14,7 +14,6 @@
 
 #include "util/atomic_file.h"
 #include "util/check.h"
-#include "util/env.h"
 #include "util/mutex.h"
 #include "util/rng.h"
 
@@ -22,7 +21,7 @@ namespace sepriv {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Parallel engine
+// Direction passes
 // ---------------------------------------------------------------------------
 
 /// Splits [0, m) into at most `target` contiguous ranges of roughly equal
@@ -102,7 +101,7 @@ void RunPass(const std::vector<std::pair<size_t, size_t>>& shards,
 // Cache serialisation
 // ---------------------------------------------------------------------------
 
-constexpr uint32_t kCacheMagic = 0x53505843;  // "SPXC"
+constexpr uint32_t kCacheMagic = 0x53505853;  // "SPXS"
 constexpr uint32_t kCacheVersion = 1;
 
 /// splitmix64-chained digest over a byte range, 8 bytes at a time with a
@@ -196,218 +195,6 @@ uint64_t CacheKeyHash(const std::string& provider_name,
   return h;
 }
 
-}  // namespace
-
-EdgeProximity ParallelEdgeProximities(const Graph& graph,
-                                      const ProximityProvider& provider,
-                                      ThreadPool& pool) {
-  const auto& edges = graph.Edges();
-  const size_t m = edges.size();
-  const size_t threads = pool.num_threads();
-  // The serial engine IS the single-thread path: bit-identity with
-  // ComputeEdgeProximities holds by construction, not by parallel text.
-  if (threads <= 1 || m < 2) return ComputeEdgeProximities(graph, provider);
-
-  std::vector<double> forward(m), backward(m);
-
-  // Reverse-direction visit order grouped by v (canonical edges are sorted
-  // by u), exactly as in the serial engine.
-  std::vector<size_t> by_v(m);
-  for (size_t e = 0; e < m; ++e) by_v[e] = e;
-  std::sort(by_v.begin(), by_v.end(), [&edges](size_t a, size_t b) {
-    return edges[a].v != edges[b].v ? edges[a].v < edges[b].v
-                                    : edges[a].u < edges[b].u;
-  });
-
-  // Over-decompose (4 shards per worker) so a shard that hits expensive hub
-  // rows doesn't straggle the pass; clones stay bounded by the thread count.
-  const size_t target_shards = threads * 4;
-  ClonePool clones(provider, threads);
-
-  const auto fwd_shards = AlignedShards(
-      m, target_shards, [&edges](size_t e) { return edges[e].u; });
-  RunPass(fwd_shards, clones, pool,
-          [&](const ProximityProvider& p, size_t i) {
-            forward[i] = p.At(edges[i].u, edges[i].v);
-          });
-
-  const auto bwd_shards = AlignedShards(
-      m, target_shards, [&](size_t e) { return edges[by_v[e]].v; });
-  RunPass(bwd_shards, clones, pool,
-          [&](const ProximityProvider& p, size_t i) {
-            const size_t idx = by_v[i];
-            backward[idx] = p.At(edges[idx].v, edges[idx].u);
-          });
-
-  return FinalizeEdgeProximities(forward, backward);
-}
-
-EdgeProximity ParallelEdgeProximities(const Graph& graph,
-                                      const ProximityProvider& provider,
-                                      size_t num_threads) {
-  ThreadPool pool(ThreadPool::ResolveThreads(num_threads));
-  return ParallelEdgeProximities(graph, provider, pool);
-}
-
-uint64_t HashProximityOptions(const ProximityOptions& opts) {
-  uint64_t h = 0xa0761d6478bd642fULL;
-  for (uint64_t word : OptionWords(opts)) h = HashMix(h, word);
-  return h;
-}
-
-std::string ProximityCacheFileName(const Graph& graph,
-                                   const std::string& provider_name,
-                                   const ProximityOptions& opts) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "prox_%016llx_%016llx.bin",
-                static_cast<unsigned long long>(graph.Fingerprint()),
-                static_cast<unsigned long long>(
-                    CacheKeyHash(provider_name, opts)));
-  return buf;
-}
-
-bool SaveEdgeProximityCache(const std::string& dir, const Graph& graph,
-                            const std::string& provider_name,
-                            const ProximityOptions& opts,
-                            const EdgeProximity& prox) {
-  if (dir.empty()) return false;
-  if (prox.values.size() != graph.num_edges() ||
-      prox.normalized.size() != graph.num_edges()) {
-    return false;  // refuse to persist an inconsistent table
-  }
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);  // best effort
-
-  std::string blob;
-  blob.reserve(64 + provider_name.size() +
-               2 * prox.values.size() * sizeof(double));
-  AppendPod(blob, kCacheMagic);
-  AppendPod(blob, kCacheVersion);
-  AppendPod(blob, graph.Fingerprint());
-  AppendPod(blob, static_cast<uint64_t>(graph.num_nodes()));
-  AppendPod(blob, static_cast<uint64_t>(graph.num_edges()));
-  for (uint64_t word : OptionWords(opts)) AppendPod(blob, word);
-  AppendPod(blob, static_cast<uint32_t>(provider_name.size()));
-  blob.append(provider_name);
-  AppendDoubles(blob, prox.values);
-  AppendPod(blob, prox.min_positive);
-  AppendPod(blob, prox.max_value);
-  AppendDoubles(blob, prox.normalized);
-  AppendPod(blob, prox.normalized_min_positive);
-  AppendPod(blob, DigestBytes(blob.data(), blob.size()));
-
-  const std::string final_path =
-      dir + "/" + ProximityCacheFileName(graph, provider_name, opts);
-  // Durable atomic publish (write-temp + fsync file and directory + rename):
-  // concurrent loaders see either the old complete file or the new complete
-  // file, never a torn write — and a crash right after Save returns cannot
-  // resurface an empty or garbage file at the final path.
-  return WriteFileAtomic(final_path, blob.data(), blob.size(),
-                         "proxcache.edge")
-      .ok();
-}
-
-std::optional<EdgeProximity> LoadEdgeProximityCache(
-    const std::string& dir, const Graph& graph,
-    const std::string& provider_name, const ProximityOptions& opts) {
-  if (dir.empty()) return std::nullopt;
-  const std::string path =
-      dir + "/" + ProximityCacheFileName(graph, provider_name, opts);
-  std::string blob;
-  if (!ReadFileToString(path, &blob, "proxcache.edge").ok())
-    return std::nullopt;
-
-  // Whole-file checksum first: truncated, appended-to, or bit-flipped files
-  // all fail here before any field is trusted.
-  if (blob.size() < sizeof(uint64_t)) return std::nullopt;
-  const size_t payload_len = blob.size() - sizeof(uint64_t);
-  uint64_t stored_digest = 0;
-  std::memcpy(&stored_digest, blob.data() + payload_len, sizeof(uint64_t));
-  if (DigestBytes(blob.data(), payload_len) != stored_digest)
-    return std::nullopt;
-
-  ByteReader reader(blob.data(), payload_len);
-  uint32_t magic = 0, version = 0, name_len = 0;
-  uint64_t fingerprint = 0, num_nodes = 0, num_edges = 0;
-  std::string name;
-  if (!reader.Read(&magic) || magic != kCacheMagic) return std::nullopt;
-  if (!reader.Read(&version) || version != kCacheVersion) return std::nullopt;
-  if (!reader.Read(&fingerprint) || fingerprint != graph.Fingerprint())
-    return std::nullopt;
-  if (!reader.Read(&num_nodes) || num_nodes != graph.num_nodes())
-    return std::nullopt;
-  if (!reader.Read(&num_edges) || num_edges != graph.num_edges())
-    return std::nullopt;
-  // The full option vector is compared field by field — a key-hash collision
-  // in the file name can only cause a spurious miss, never a wrong hit.
-  for (uint64_t expected : OptionWords(opts)) {
-    uint64_t stored = 0;
-    if (!reader.Read(&stored) || stored != expected) return std::nullopt;
-  }
-  if (!reader.Read(&name_len) || !reader.ReadString(name_len, &name) ||
-      name != provider_name) {
-    return std::nullopt;
-  }
-
-  EdgeProximity out;
-  if (!reader.ReadDoubles(static_cast<size_t>(num_edges), &out.values) ||
-      !reader.Read(&out.min_positive) || !reader.Read(&out.max_value) ||
-      !reader.ReadDoubles(static_cast<size_t>(num_edges), &out.normalized) ||
-      !reader.Read(&out.normalized_min_positive) || !reader.AtEnd()) {
-    return std::nullopt;
-  }
-  return out;
-}
-
-EdgeProximity CachedEdgeProximities(const Graph& graph,
-                                    const ProximityProvider& provider,
-                                    const ProximityOptions& opts,
-                                    ThreadPool& pool,
-                                    const std::string& cache_dir) {
-  if (!cache_dir.empty()) {
-    if (auto cached =
-            LoadEdgeProximityCache(cache_dir, graph, provider.Name(), opts)) {
-      return std::move(*cached);
-    }
-  }
-  EdgeProximity prox = ParallelEdgeProximities(graph, provider, pool);
-  if (!cache_dir.empty() && graph.num_edges() > 0) {
-    SaveEdgeProximityCache(cache_dir, graph, provider.Name(), opts, prox);
-  }
-  return prox;
-}
-
-EdgeProximity CachedEdgeProximities(const Graph& graph,
-                                    const ProximityProvider& provider,
-                                    const ProximityOptions& opts,
-                                    size_t num_threads,
-                                    const std::string& cache_dir) {
-  if (!cache_dir.empty()) {
-    if (auto cached =
-            LoadEdgeProximityCache(cache_dir, graph, provider.Name(), opts)) {
-      return std::move(*cached);
-    }
-  }
-  // The pool is constructed only on a miss — a warm hit spins up (and joins)
-  // no worker threads at all — then the pool overload owns the shared
-  // compute-and-save path (its redundant re-probe is one failed open).
-  ThreadPool pool(ThreadPool::ResolveThreads(num_threads));
-  return CachedEdgeProximities(graph, provider, opts, pool, cache_dir);
-}
-
-std::string ProximityCacheDirFromEnv() {
-  return GetStringEnv("SEPRIV_PROXIMITY_CACHE");
-}
-
-// ---------------------------------------------------------------------------
-// Shard-granular proximity passes
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr uint32_t kShardCacheMagic = 0x53505853;  // "SPXS"
-constexpr uint32_t kShardCacheVersion = 1;
-
 /// One shard's canonical edges materialised for the parallel passes:
 /// edge-level memory for ONE shard only, the bound the out-of-core layer is
 /// built around.
@@ -435,6 +222,12 @@ std::string ShardCacheFilePath(const std::string& cache_root,
 
 }  // namespace
 
+uint64_t HashProximityOptions(const ProximityOptions& opts) {
+  uint64_t h = 0xa0761d6478bd642fULL;
+  for (uint64_t word : OptionWords(opts)) h = HashMix(h, word);
+  return h;
+}
+
 ShardProximity ComputeShardProximities(const ShardView& view,
                                        const ProximityProvider& provider,
                                        ThreadPool& pool) {
@@ -445,23 +238,8 @@ ShardProximity ComputeShardProximities(const ShardView& view,
   out.backward.resize(m);
   if (m == 0) return out;
 
-  const size_t threads = pool.num_threads();
-  if (threads <= 1 || m < 2) {
-    // Serial path, identical visit discipline to ComputeEdgeProximities:
-    // forward grouped by u (the natural order), backward grouped by v.
-    for (size_t e = 0; e < m; ++e)
-      out.forward[e] = provider.At(edges[e].u, edges[e].v);
-    std::vector<size_t> by_v(m);
-    for (size_t e = 0; e < m; ++e) by_v[e] = e;
-    std::sort(by_v.begin(), by_v.end(), [&edges](size_t a, size_t b) {
-      return edges[a].v != edges[b].v ? edges[a].v < edges[b].v
-                                      : edges[a].u < edges[b].u;
-    });
-    for (size_t idx : by_v)
-      out.backward[idx] = provider.At(edges[idx].v, edges[idx].u);
-    return out;
-  }
-
+  // Reverse-direction visit order grouped by v (canonical edges are sorted
+  // by u), exactly as in the serial engine.
   std::vector<size_t> by_v(m);
   for (size_t e = 0; e < m; ++e) by_v[e] = e;
   std::sort(by_v.begin(), by_v.end(), [&edges](size_t a, size_t b) {
@@ -469,6 +247,10 @@ ShardProximity ComputeShardProximities(const ShardView& view,
                                     : edges[a].u < edges[b].u;
   });
 
+  // Over-decompose (4 shards per worker) so a shard that hits expensive hub
+  // rows doesn't straggle the pass; clones stay bounded by the thread count.
+  // A 1-thread pool runs both passes inline on the calling thread.
+  const size_t threads = pool.num_threads();
   const size_t target_shards = threads * 4;
   ClonePool clones(provider, threads);
 
@@ -519,8 +301,8 @@ bool SaveShardProximityCache(const std::string& cache_root,
   std::string blob;
   blob.reserve(96 + provider_name.size() +
                2 * prox.forward.size() * sizeof(double));
-  AppendPod(blob, kShardCacheMagic);
-  AppendPod(blob, kShardCacheVersion);
+  AppendPod(blob, kCacheMagic);
+  AppendPod(blob, kCacheVersion);
   AppendPod(blob, graph_fingerprint);
   AppendPod(blob, static_cast<uint64_t>(shard_index));
   AppendPod(blob, shard_fingerprint);
@@ -532,7 +314,10 @@ bool SaveShardProximityCache(const std::string& cache_root,
   AppendDoubles(blob, prox.backward);
   AppendPod(blob, DigestBytes(blob.data(), blob.size()));
 
-  // Same durable publish discipline as the whole-graph cache writer.
+  // Durable atomic publish (write-temp + fsync file and directory + rename):
+  // concurrent loaders see either the old complete file or the new complete
+  // file, never a torn write — and a crash right after Save returns cannot
+  // resurface an empty or garbage file at the final path.
   return WriteFileAtomic(path, blob.data(), blob.size(), "proxcache.shard")
       .ok();
 }
@@ -550,6 +335,8 @@ std::optional<ShardProximity> LoadShardProximityCache(
   if (!ReadFileToString(path, &blob, "proxcache.shard").ok())
     return std::nullopt;
 
+  // Whole-file checksum first: truncated, appended-to, or bit-flipped files
+  // all fail here before any field is trusted.
   if (blob.size() < sizeof(uint64_t)) return std::nullopt;
   const size_t payload_len = blob.size() - sizeof(uint64_t);
   uint64_t stored_digest = 0;
@@ -561,8 +348,8 @@ std::optional<ShardProximity> LoadShardProximityCache(
   uint32_t magic = 0, version = 0, name_len = 0;
   uint64_t graph_fp = 0, idx = 0, shard_fp = 0, count = 0;
   std::string name;
-  if (!reader.Read(&magic) || magic != kShardCacheMagic) return std::nullopt;
-  if (!reader.Read(&version) || version != kShardCacheVersion)
+  if (!reader.Read(&magic) || magic != kCacheMagic) return std::nullopt;
+  if (!reader.Read(&version) || version != kCacheVersion)
     return std::nullopt;
   if (!reader.Read(&graph_fp) || graph_fp != graph_fingerprint)
     return std::nullopt;
@@ -573,6 +360,8 @@ std::optional<ShardProximity> LoadShardProximityCache(
   if (!reader.Read(&shard_fp) || shard_fp != shard_fingerprint)
     return std::nullopt;
   if (!reader.Read(&count) || count != edge_count) return std::nullopt;
+  // The full option vector is compared field by field — a key-hash collision
+  // in the directory name can only cause a spurious miss, never a wrong hit.
   for (uint64_t expected : OptionWords(opts)) {
     uint64_t stored = 0;
     if (!reader.Read(&stored) || stored != expected) return std::nullopt;
@@ -597,16 +386,15 @@ ShardProximity CachedShardProximities(const ShardView& view,
                                       const ProximityOptions& opts,
                                       ThreadPool& pool,
                                       const std::string& cache_root) {
+  if (cache_root.empty()) return ComputeShardProximities(view, provider, pool);
   const uint64_t shard_fp = ShardFingerprint(view);
-  if (!cache_root.empty()) {
-    if (auto cached = LoadShardProximityCache(
-            cache_root, graph_fingerprint, shard_index, shard_fp,
-            provider.Name(), opts, view.edge_count)) {
-      return std::move(*cached);
-    }
+  if (auto cached = LoadShardProximityCache(
+          cache_root, graph_fingerprint, shard_index, shard_fp,
+          provider.Name(), opts, view.edge_count)) {
+    return std::move(*cached);
   }
   ShardProximity prox = ComputeShardProximities(view, provider, pool);
-  if (!cache_root.empty() && !prox.forward.empty()) {
+  if (!prox.forward.empty()) {
     SaveShardProximityCache(cache_root, graph_fingerprint, shard_index,
                             shard_fp, provider.Name(), opts, prox);
   }
@@ -635,6 +423,16 @@ EdgeProximity ShardedEdgeProximities(GraphStore& store,
               backward.begin() + static_cast<ptrdiff_t>(view.edge_begin));
   }
   return FinalizeEdgeProximities(forward, backward);
+}
+
+EdgeProximity CachedEdgeProximities(const Graph& graph,
+                                    const ProximityProvider& provider,
+                                    const ProximityOptions& opts,
+                                    size_t num_threads,
+                                    const std::string& cache_dir) {
+  InMemoryGraphStore store(graph, 1);
+  ThreadPool pool(ThreadPool::ResolveThreads(num_threads));
+  return ShardedEdgeProximities(store, provider, opts, pool, cache_dir);
 }
 
 }  // namespace sepriv

@@ -3,21 +3,29 @@
 // ComputeEdgeProximities (proximity.cc) walks every canonical edge twice
 // through a single-row-cached provider — two serial O(|E|) passes that
 // dominate trainer startup on large graphs now that the batch-gradient hot
-// path is parallel. This engine shards distinct SOURCE nodes across a
-// ThreadPool, giving each shard its own ProximityProvider::Clone() so the
-// per-shard row cache stays warm and no mutable state races. Because every
-// provider's At() is a pure function of (i, j) — the sampled DeepWalk
-// estimator derives its walks from a keyed per-source substream — the
-// parallel output is bit-identical to the serial engine for every thread
+// path is parallel. This engine has ONE pipeline for every storage backend:
+// a GraphStore's shards are visited in order, and within a shard distinct
+// SOURCE nodes are spread across a ThreadPool, each chunk querying its own
+// ProximityProvider::Clone() so the per-clone row cache stays warm and no
+// mutable state races. A resident Graph is the 1-shard InMemoryGraphStore
+// case (CachedEdgeProximities), an SSD-backed graph the N-shard case. Because
+// every provider's At() is a pure function of (i, j) — the sampled DeepWalk
+// estimator derives its walks from a keyed per-source substream — the output
+// is bit-identical to the serial engine for every shard count and thread
 // count, including the EdgeProximity min/max/normalized fields (the
 // reduction tail is the literal FinalizeEdgeProximities shared with the
 // serial path).
 //
 // The persistent cache amortises the precompute across repeated runs
-// (parameter sweeps, the bench/ family, restarted trainers): a versioned
-// binary file keyed by Graph::Fingerprint() + provider Name() + the full
-// ProximityOptions, with a whole-file checksum. Stale, truncated, corrupt,
-// or mismatched files are detected and recomputed — never trusted.
+// (parameter sweeps, the bench/ family, restarted trainers). It has one
+// layout: one versioned binary file per shard,
+//   <cache_root>/proxshard_<graph-fp>_<key>/shard_<i>_<shard-fp>.bin
+// keyed by the graph fingerprint, provider Name(), the full
+// ProximityOptions and the shard's own fingerprint, with a whole-file
+// checksum. A whole-graph entry is simply the shard_0 file of a 1-shard
+// store. Stale, truncated, corrupt, or mismatched files are detected and
+// recomputed — never trusted. Every front end constructs its ThreadPool up
+// front, so a warm hit also spins up (and joins) the pool's workers.
 
 #ifndef SEPRIVGEMB_PROXIMITY_PROXIMITY_ENGINE_H_
 #define SEPRIVGEMB_PROXIMITY_PROXIMITY_ENGINE_H_
@@ -34,75 +42,24 @@
 
 namespace sepriv {
 
-/// Evaluates the provider on every canonical edge using the pool's workers.
-/// Bit-identical to ComputeEdgeProximities for every thread count.
-EdgeProximity ParallelEdgeProximities(const Graph& graph,
-                                      const ProximityProvider& provider,
-                                      ThreadPool& pool);
-
-/// Convenience overload owning a transient pool. `num_threads` follows the
-/// SePrivGEmbConfig convention: 0 resolves to hardware concurrency.
-EdgeProximity ParallelEdgeProximities(const Graph& graph,
-                                      const ProximityProvider& provider,
-                                      size_t num_threads);
-
 /// 64-bit digest of every ProximityOptions field. Part of the cache key, so
 /// any option change — even one the current provider ignores — invalidates
 /// conservatively (a spurious recompute, never a wrong hit).
 uint64_t HashProximityOptions(const ProximityOptions& opts);
 
-/// File name (no directory) a cache entry lives under:
-/// "prox_<graph-fingerprint>_<key-hash>.bin". The provider name and options
-/// are folded into the key hash; the full key is also stored in the header
-/// and re-verified on load, so hash collisions cannot alias entries.
-std::string ProximityCacheFileName(const Graph& graph,
-                                   const std::string& provider_name,
-                                   const ProximityOptions& opts);
-
-/// Writes `prox` under `dir` (created if missing) via write-to-temp + atomic
-/// rename, so concurrent readers/writers of the same directory (e.g. ctest
-/// -j sharing one cache) see only complete files. Returns false on I/O
-/// failure — callers treat the cache as best-effort.
-bool SaveEdgeProximityCache(const std::string& dir, const Graph& graph,
-                            const std::string& provider_name,
-                            const ProximityOptions& opts,
-                            const EdgeProximity& prox);
-
-/// Loads the entry for (graph, provider_name, opts) from `dir`. Returns
-/// nullopt — never a partial or wrong result — when the file is missing,
-/// truncated, checksum-corrupt, from a different format version, or keyed to
-/// a different graph/provider/options.
-std::optional<EdgeProximity> LoadEdgeProximityCache(
-    const std::string& dir, const Graph& graph,
-    const std::string& provider_name, const ProximityOptions& opts);
-
-/// Cache-through front end: load from `cache_dir` when valid, else compute
-/// in parallel on `pool` and save. An empty `cache_dir` disables caching.
-/// The returned EdgeProximity is bit-identical whether it came from the
-/// cold (computed) or warm (loaded) path.
-EdgeProximity CachedEdgeProximities(const Graph& graph,
-                                    const ProximityProvider& provider,
-                                    const ProximityOptions& opts,
-                                    ThreadPool& pool,
-                                    const std::string& cache_dir);
-
-/// As above but with a lazily constructed pool: worker threads are spun up
-/// only when the cache misses and a compute is actually needed (warm trainer
-/// restarts and cached sweeps create no threads). `num_threads` follows the
-/// SePrivGEmbConfig convention: 0 resolves to hardware concurrency.
+/// Whole-graph front end: runs ShardedEdgeProximities over a 1-shard
+/// InMemoryGraphStore of `graph` on a pool of `num_threads` workers (0
+/// resolves to hardware concurrency), cache-through when `cache_dir` is
+/// non-empty. The returned EdgeProximity is bit-identical whether it came
+/// from the cold (computed) or warm (loaded) path.
 EdgeProximity CachedEdgeProximities(const Graph& graph,
                                     const ProximityProvider& provider,
                                     const ProximityOptions& opts,
                                     size_t num_threads,
                                     const std::string& cache_dir);
 
-/// The SEPRIV_PROXIMITY_CACHE environment variable (empty when unset): the
-/// process-wide default cache directory used when no explicit path is
-/// configured, so test/bench sweeps opt in without code changes.
-std::string ProximityCacheDirFromEnv();
-
 // ---------------------------------------------------------------------------
-// Shard-granular proximity passes (the out-of-core pipeline)
+// Shard-granular proximity passes
 // ---------------------------------------------------------------------------
 
 /// Raw directional proximities of ONE shard's canonical edges, rebased to
@@ -114,10 +71,11 @@ struct ShardProximity {
   std::vector<double> backward;
 };
 
-/// Evaluates the provider on one shard's edges using the pool's workers
-/// (same shard-by-source-node decomposition as ParallelEdgeProximities).
-/// Per-edge values are bit-identical to the whole-graph passes: At() is pure
-/// in (i, j), and the visit set for this edge range is the same.
+/// Evaluates the provider on one shard's edges using the pool's workers: the
+/// forward pass is chunked by source u, the reverse pass by v, and a chunk
+/// boundary never splits one source's edges. A 1-thread pool runs both
+/// passes inline. Per-edge values equal ComputeEdgeProximities' on the same
+/// edges: At() is pure in (i, j).
 ShardProximity ComputeShardProximities(const ShardView& view,
                                        const ProximityProvider& provider,
                                        ThreadPool& pool);
@@ -163,8 +121,8 @@ ShardProximity CachedShardProximities(const ShardView& view,
 /// Whole-table front end over the sharded passes: iterates the store's
 /// shards SEQUENTIALLY (prefetching shard s+1 while computing shard s, so at
 /// most two shards are resident), then runs the shared finalisation.
-/// Bit-identical to ComputeEdgeProximities / ParallelEdgeProximities on the
-/// equivalent graph for every shard count, thread count, and cache state.
+/// Bit-identical to ComputeEdgeProximities on the equivalent graph for every
+/// shard count, thread count, and cache state.
 /// Note the returned table is O(|E|) — out-of-core consumers stream through
 /// CachedShardProximities + ProximityFinalizer instead.
 EdgeProximity ShardedEdgeProximities(GraphStore& store,

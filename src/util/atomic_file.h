@@ -31,7 +31,7 @@ namespace sepriv {
 /// the helper evaluates `<base>.write` (before/during the temp write),
 /// `<base>.sync` (between write and rename) and `<base>.rename` (after
 /// rename, before the directory fsync). Pass a stable literal like
-/// "checkpoint" or "proxcache.save", or nullptr to opt out of injection.
+/// "checkpoint" or "proxcache.shard", or nullptr to opt out of injection.
 Status WriteFileAtomic(const std::string& path, const void* data, size_t size,
                        const char* failpoint_base = nullptr);
 

@@ -23,7 +23,7 @@
 //   crash   the process _exit()s mid-operation, after any partial effect —
 //           the crash-recovery harness forks a child around this
 //
-// Example: SEPRIV_FAILPOINTS="page_file.read=err@3,proxcache.save=torn"
+// Example: SEPRIV_FAILPOINTS="page_file.read=err@3,proxcache.shard.read=torn"
 //
 // Probabilistic schedules draw from a dedicated sepriv::Rng per rule, so a
 // given (spec, seed) pair produces the same fault sequence on every run —

@@ -10,6 +10,7 @@
 
 #include "util/mem.h"
 #include "util/page_file.h"
+#include "test_dir.h"
 
 namespace sepriv {
 namespace {
@@ -18,12 +19,9 @@ constexpr size_t kPage = 4096;
 
 class BufferPoolTest : public ::testing::Test {
  protected:
-  std::string TempPath(const std::string& name) {
-    const std::string path = testing::TempDir() + "/pool_" + name;
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    return path;
-  }
+  std::string TempPath(const std::string& name) const { return tmp_ / name; }
+
+  const TestDir tmp_;
 
   /// A page file whose page p is filled with byte value (p + 1).
   std::unique_ptr<PageFile> MakeFile(const std::string& path, size_t pages) {

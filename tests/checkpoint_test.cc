@@ -15,6 +15,7 @@
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "test_dir.h"
 
 namespace sepriv {
 namespace {
@@ -23,10 +24,6 @@ class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
     failpoint::ClearAll();
-    dir_ = testing::TempDir() + "/checkpoint_test";
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-    std::filesystem::create_directories(dir_);
   }
   void TearDown() override { failpoint::ClearAll(); }
 
@@ -52,7 +49,8 @@ class CheckpointTest : public ::testing::Test {
     return ck;
   }
 
-  std::string dir_;
+  const TestDir tmp_;
+  const std::string dir_ = tmp_.path();
 };
 
 TEST_F(CheckpointTest, RoundTripRestoresEveryField) {

@@ -30,6 +30,7 @@
 #include "util/page_file.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "test_dir.h"
 
 namespace sepriv {
 namespace {
@@ -38,12 +39,9 @@ constexpr size_t kPage = 512;  // small pages: more traffic per second
 
 class ConcurrencyStressTest : public ::testing::Test {
  protected:
-  std::string TempPath(const std::string& name) {
-    const std::string path = testing::TempDir() + "/stress_" + name;
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    return path;
-  }
+  std::string TempPath(const std::string& name) const { return tmp_ / name; }
+
+  const TestDir tmp_;
 
   /// A page file whose page p is filled with byte value (p % 251).
   std::unique_ptr<PageFile> MakeFile(const std::string& path, size_t pages) {

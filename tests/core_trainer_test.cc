@@ -13,6 +13,7 @@
 #include "eval/strucequ.h"
 #include "graph/generators.h"
 #include "util/stats.h"
+#include "test_dir.h"
 
 namespace sepriv {
 namespace {
@@ -339,10 +340,8 @@ TEST(TrainerTest, ProximityCachePathColdAndWarmBitIdentical) {
   // End-to-end cached precompute: the first trainer writes the edge-weight
   // cache, the second loads it; both must match a cache-less run bit for bit
   // (weights, loss curve, min proximity).
-  const std::string dir =
-      testing::TempDir() + "/trainer_prox_cache";
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
+  const TestDir tmp;
+  const std::string dir = tmp.path();
 
   Graph g = BarabasiAlbert(120, 4, 9);
   auto cfg = SmallConfig();
@@ -365,7 +364,6 @@ TEST(TrainerTest, ProximityCachePathColdAndWarmBitIdentical) {
     EXPECT_EQ(base.loss_curve, r->loss_curve);
     EXPECT_EQ(base.min_proximity, r->min_proximity);
   }
-  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(TrainerDeathTest, EmptyGraphAborts) {

@@ -27,6 +27,7 @@
 #include "util/digest.h"
 #include "util/failpoint.h"
 #include "util/status.h"
+#include "test_dir.h"
 
 namespace sepriv {
 namespace {
@@ -57,10 +58,6 @@ class CrashRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     failpoint::ClearAll();
-    root_ = testing::TempDir() + "/crash_recovery_test";
-    std::error_code ec;
-    std::filesystem::remove_all(root_, ec);
-    std::filesystem::create_directories(root_);
   }
   void TearDown() override { failpoint::ClearAll(); }
 
@@ -107,7 +104,9 @@ class CrashRecoveryTest : public ::testing::Test {
     return opts;
   }
 
-  std::string root_;
+  // Created here, in the parent: forked children inherit the path.
+  const TestDir tmp_;
+  const std::string root_ = tmp_.path();
 };
 
 // Crash the child at every stage of the checkpoint publish sequence. The

@@ -24,6 +24,7 @@
 #include "util/failpoint.h"
 #include "util/page_file.h"
 #include "util/status.h"
+#include "test_dir.h"
 
 namespace sepriv {
 namespace {
@@ -32,10 +33,6 @@ class FaultInjectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     failpoint::ClearAll();
-    root_ = testing::TempDir() + "/fault_injection_test";
-    std::error_code ec;
-    std::filesystem::remove_all(root_, ec);
-    std::filesystem::create_directories(root_);
   }
   void TearDown() override { failpoint::ClearAll(); }
 
@@ -53,7 +50,8 @@ class FaultInjectionTest : public ::testing::Test {
     return file;
   }
 
-  std::string root_;
+  const TestDir tmp_;
+  const std::string root_ = tmp_.path();
 };
 
 // --- PageFile primaries -----------------------------------------------------
@@ -291,15 +289,21 @@ TEST_F(FaultInjectionTest, TornProximityCacheFallsBackToRecompute) {
   const auto provider = MakeProximity(ProximityKind::kCommonNeighbors, g,
                                       opts);
   const std::string dir = root_ + "/proxcache";
-  const EdgeProximity computed =
-      ParallelEdgeProximities(g, *provider, /*num_threads=*/1);
-  ASSERT_TRUE(
-      SaveEdgeProximityCache(dir, g, provider->Name(), opts, computed));
+  const EdgeProximity computed = ComputeEdgeProximities(g, *provider);
+  // A cold whole-graph pass writes the 1-shard store's shard 0 entry.
+  CachedEdgeProximities(g, *provider, opts, /*num_threads=*/1, dir);
+  InMemoryGraphStore store(g, 1);
+  const size_t edge_count = store.manifest().shards[0].edge_count;
+  const uint64_t shard_fp = store.manifest().shards[0].fingerprint;
+  auto load = [&] {
+    return LoadShardProximityCache(dir, g.Fingerprint(), 0, shard_fp,
+                                   provider->Name(), opts, edge_count);
+  };
+  ASSERT_TRUE(load().has_value());
 
   // A rotted cache file is a miss, never wrong values...
-  ASSERT_TRUE(failpoint::SetSpec("proxcache.edge.read=torn"));
-  EXPECT_FALSE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts).has_value());
+  ASSERT_TRUE(failpoint::SetSpec("proxcache.shard.read=torn"));
+  EXPECT_FALSE(load().has_value());
 
   // ...and the cache-through front end transparently recomputes: the result
   // is bit-identical to the cold path even while the cache is unreadable.
@@ -311,8 +315,7 @@ TEST_F(FaultInjectionTest, TornProximityCacheFallsBackToRecompute) {
   }
 
   failpoint::ClearAll();
-  EXPECT_TRUE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts).has_value());
+  EXPECT_TRUE(load().has_value());
 }
 
 // --- End to end: training degrades to a structured error --------------------

@@ -10,15 +10,16 @@
 
 #include "graph/generators.h"
 #include "graph/shard.h"
+#include "test_dir.h"
 
 namespace sepriv {
 namespace {
 
 class IoTest : public ::testing::Test {
  protected:
-  std::string TempPath(const std::string& name) {
-    return testing::TempDir() + "/" + name;
-  }
+  std::string TempPath(const std::string& name) const { return tmp_ / name; }
+
+  const TestDir tmp_;
 };
 
 TEST_F(IoTest, RoundTripPreservesGraph) {
@@ -165,11 +166,8 @@ TEST_F(IoTest, WrittenFileStartsWithSummaryComment) {
 
 class ShardIngestTest : public IoTest {
  protected:
-  std::string TempDirFor(const std::string& name) {
-    const std::string dir = testing::TempDir() + "/ingest_" + name;
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-    return dir;
+  std::string TempDirFor(const std::string& name) const {
+    return tmp_ / ("ingest_" + name);
   }
 };
 

@@ -17,6 +17,7 @@
 #include "graph/generators.h"
 #include "graph/shard.h"
 #include "util/digest.h"
+#include "test_dir.h"
 
 namespace sepriv {
 namespace {
@@ -40,12 +41,11 @@ struct TrainDigest {
 
 class OocoreTrainTest : public ::testing::Test {
  protected:
-  std::string TempDirFor(const std::string& name) {
-    const std::string dir = testing::TempDir() + "/oocore_" + name;
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-    return dir;
+  std::string TempDirFor(const std::string& name) const {
+    return tmp_ / name;
   }
+
+  const TestDir tmp_;
 
   /// Small, fast configuration still large enough that batches subsample
   /// (gamma < 1) and several shards/pool evictions occur.

@@ -19,6 +19,7 @@
 #include "linalg/simd/cpu_features.h"
 #include "util/digest.h"
 #include "util/rng.h"
+#include "test_dir.h"
 
 namespace sepriv {
 namespace {
@@ -237,13 +238,8 @@ TEST(PrecisionTrainTest, Float32DigestInvariantAcrossSimdLevels) {
 
 class PrecisionCheckpointTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = testing::TempDir() + "/precision_ckpt_test";
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-    std::filesystem::create_directories(dir_);
-  }
-  std::string dir_;
+  const TestDir tmp_;
+  const std::string dir_ = tmp_.path();
 };
 
 TEST_F(PrecisionCheckpointTest, Float32PayloadRoundTripsExactly) {

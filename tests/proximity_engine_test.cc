@@ -8,12 +8,14 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <system_error>
 #include <vector>
 
 #include "graph/generators.h"
 #include "graph/shard.h"
+#include "test_dir.h"
 
 namespace sepriv {
 namespace {
@@ -37,19 +39,75 @@ void ExpectBitIdentical(const EdgeProximity& a, const EdgeProximity& b) {
   EXPECT_EQ(a.normalized_min_positive, b.normalized_min_positive);
 }
 
+/// Element-wise EXPECT_EQ over both directional tables.
+void ExpectBitIdentical(const ShardProximity& a, const ShardProximity& b) {
+  ASSERT_EQ(a.forward.size(), b.forward.size());
+  ASSERT_EQ(a.backward.size(), b.backward.size());
+  for (size_t k = 0; k < a.forward.size(); ++k) {
+    EXPECT_EQ(a.forward[k], b.forward[k]) << "forward[" << k << "]";
+    EXPECT_EQ(a.backward[k], b.backward[k]) << "backward[" << k << "]";
+  }
+}
+
+/// A graph as its 1-shard store: the key of a whole-graph cache entry,
+/// which is the store's shard 0.
+struct WholeGraph {
+  explicit WholeGraph(const Graph& g) : store(g, 1), pin(store.Pin(0)) {}
+
+  uint64_t graph_fp() const { return store.fingerprint(); }
+  uint64_t shard_fp() const { return store.manifest().shards[0].fingerprint; }
+
+  InMemoryGraphStore store;
+  PinnedShard pin;
+};
+
 class ProximityEngineTest : public ::testing::Test {
  protected:
-  std::string TempDirFor(const std::string& name) {
-    const std::string dir = testing::TempDir() + "/prox_cache_" + name;
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-    return dir;
+  std::string TempDirFor(const std::string& name) const {
+    return tmp_ / name;
   }
 
-  std::string CachePathFor(const std::string& dir, const Graph& g,
-                           const ProximityProvider& p,
-                           const ProximityOptions& opts) {
-    return dir + "/" + ProximityCacheFileName(g, p.Name(), opts);
+  /// The single file a whole-graph entry lives in.
+  static std::string CachePathFor(const std::string& dir, const Graph& g,
+                                  const ProximityProvider& p,
+                                  const ProximityOptions& opts) {
+    const WholeGraph w(g);
+    return dir + "/" +
+           ShardProximityCacheDirName(w.graph_fp(), p.Name(), opts) +
+           "/shard_0_" + Hex(w.shard_fp()) + ".bin";
+  }
+
+  static ShardProximity Compute(const Graph& g, const ProximityProvider& p) {
+    const WholeGraph w(g);
+    ThreadPool pool(1);
+    return ComputeShardProximities(w.pin.view(), p, pool);
+  }
+
+  static bool Save(const std::string& dir, const Graph& g,
+                   const std::string& provider_name,
+                   const ProximityOptions& opts, const ShardProximity& prox) {
+    const WholeGraph w(g);
+    return SaveShardProximityCache(dir, w.graph_fp(), 0, w.shard_fp(),
+                                   provider_name, opts, prox);
+  }
+
+  static std::optional<ShardProximity> Load(const std::string& dir,
+                                            const Graph& g,
+                                            const std::string& provider_name,
+                                            const ProximityOptions& opts) {
+    const WholeGraph w(g);
+    return LoadShardProximityCache(dir, w.graph_fp(), 0, w.shard_fp(),
+                                   provider_name, opts, w.pin->edge_count);
+  }
+
+  const TestDir tmp_;
+
+ private:
+  static std::string Hex(uint64_t v) {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
   }
 };
 
@@ -58,14 +116,15 @@ class ProximityEngineTest : public ::testing::Test {
 class AllKindsEngineTest : public ::testing::TestWithParam<ProximityKind> {};
 
 TEST_P(AllKindsEngineTest, BitIdenticalAcrossThreadCounts) {
+  // The whole-graph front end, pool construction included.
   const Graph g = ErdosRenyiGnm(150, 450, 11);
   const ProximityOptions opts = TestOptions();
   const auto provider = MakeProximity(GetParam(), g, opts);
   const EdgeProximity serial = ComputeEdgeProximities(g, *provider);
   for (size_t threads : {1UL, 2UL, 4UL, 8UL}) {
-    ThreadPool pool(threads);
-    const EdgeProximity parallel = ParallelEdgeProximities(g, *provider, pool);
-    ExpectBitIdentical(serial, parallel);
+    ExpectBitIdentical(serial, CachedEdgeProximities(g, *provider, opts,
+                                                     threads,
+                                                     /*cache_dir=*/""));
   }
 }
 
@@ -88,18 +147,10 @@ INSTANTIATE_TEST_SUITE_P(
     Kinds, AllKindsEngineTest, ::testing::ValuesIn(AllProximityKinds()),
     [](const auto& info) { return ProximityKindName(info.param); });
 
-TEST_F(ProximityEngineTest, ConvenienceOverloadMatchesPoolOverload) {
-  const Graph g = BarabasiAlbert(300, 3, 5);
-  const auto provider = MakeProximity(ProximityKind::kKatz, g, TestOptions());
-  const EdgeProximity serial = ComputeEdgeProximities(g, *provider);
-  ExpectBitIdentical(serial, ParallelEdgeProximities(g, *provider, size_t{3}));
-}
-
 TEST_F(ProximityEngineTest, EmptyGraphProducesEmptyTable) {
   const Graph g = Graph::FromEdges(4, {});
   const auto provider = MakeProximity(ProximityKind::kCommonNeighbors, g);
-  ThreadPool pool(2);
-  const EdgeProximity ep = ParallelEdgeProximities(g, *provider, pool);
+  const EdgeProximity ep = CachedEdgeProximities(g, *provider, {}, 2, "");
   EXPECT_TRUE(ep.values.empty());
   EXPECT_TRUE(ep.normalized.empty());
 }
@@ -119,19 +170,17 @@ TEST_F(ProximityEngineTest, FingerprintStableAndStructureSensitive) {
   EXPECT_NE(d.Fingerprint(), e.Fingerprint());
 }
 
-// --- cache round trip -------------------------------------------------------
+// --- whole-graph cache entries (the 1-shard case) ---------------------------
 
 TEST_F(ProximityEngineTest, CacheRoundTripIsBitIdentical) {
   const std::string dir = TempDirFor("roundtrip");
   const Graph g = ErdosRenyiGnm(100, 260, 9);
   const ProximityOptions opts = TestOptions();
   const auto provider = MakeProximity(ProximityKind::kAdamicAdar, g, opts);
-  const EdgeProximity computed = ComputeEdgeProximities(g, *provider);
+  const ShardProximity computed = Compute(g, *provider);
 
-  ASSERT_TRUE(
-      SaveEdgeProximityCache(dir, g, provider->Name(), opts, computed));
-  const auto loaded =
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts);
+  ASSERT_TRUE(Save(dir, g, provider->Name(), opts, computed));
+  const auto loaded = Load(dir, g, provider->Name(), opts);
   ASSERT_TRUE(loaded.has_value());
   ExpectBitIdentical(computed, *loaded);
 }
@@ -142,13 +191,10 @@ TEST_F(ProximityEngineTest, CachedFrontEndColdThenWarmBitIdentical) {
   const ProximityOptions opts = TestOptions();
   const auto provider =
       MakeProximity(ProximityKind::kPersonalizedPageRank, g, opts);
-  ThreadPool pool(4);
 
-  const EdgeProximity cold =
-      CachedEdgeProximities(g, *provider, opts, pool, dir);
+  const EdgeProximity cold = CachedEdgeProximities(g, *provider, opts, 4, dir);
   ASSERT_TRUE(std::filesystem::exists(CachePathFor(dir, g, *provider, opts)));
-  const EdgeProximity warm =
-      CachedEdgeProximities(g, *provider, opts, pool, dir);
+  const EdgeProximity warm = CachedEdgeProximities(g, *provider, opts, 4, dir);
   ExpectBitIdentical(cold, warm);
   // And both match the serial reference engine.
   ExpectBitIdentical(cold, ComputeEdgeProximities(g, *provider));
@@ -157,9 +203,8 @@ TEST_F(ProximityEngineTest, CachedFrontEndColdThenWarmBitIdentical) {
 TEST_F(ProximityEngineTest, EmptyCacheDirDisablesCaching) {
   const Graph g = ErdosRenyiGnm(50, 120, 2);
   const auto provider = MakeProximity(ProximityKind::kJaccard, g);
-  ThreadPool pool(2);
   const EdgeProximity ep =
-      CachedEdgeProximities(g, *provider, {}, pool, /*cache_dir=*/"");
+      CachedEdgeProximities(g, *provider, {}, 2, /*cache_dir=*/"");
   EXPECT_EQ(ep.values.size(), g.num_edges());
 }
 
@@ -170,12 +215,10 @@ TEST_F(ProximityEngineTest, CacheMissesOnDifferentGraph) {
   const Graph g = ErdosRenyiGnm(90, 200, 21);
   const ProximityOptions opts = TestOptions();
   const auto provider = MakeProximity(ProximityKind::kKatz, g, opts);
-  ASSERT_TRUE(SaveEdgeProximityCache(dir, g, provider->Name(), opts,
-                                     ComputeEdgeProximities(g, *provider)));
+  ASSERT_TRUE(Save(dir, g, provider->Name(), opts, Compute(g, *provider)));
 
   const Graph other = ErdosRenyiGnm(90, 200, 22);
-  EXPECT_FALSE(
-      LoadEdgeProximityCache(dir, other, provider->Name(), opts).has_value());
+  EXPECT_FALSE(Load(dir, other, provider->Name(), opts).has_value());
 }
 
 TEST_F(ProximityEngineTest, CacheMissesOnDifferentProviderOrOptions) {
@@ -183,24 +226,19 @@ TEST_F(ProximityEngineTest, CacheMissesOnDifferentProviderOrOptions) {
   const Graph g = ErdosRenyiGnm(90, 200, 23);
   const ProximityOptions opts = TestOptions();
   const auto provider = MakeProximity(ProximityKind::kDeepWalk, g, opts);
-  ASSERT_TRUE(SaveEdgeProximityCache(dir, g, provider->Name(), opts,
-                                     ComputeEdgeProximities(g, *provider)));
+  ASSERT_TRUE(Save(dir, g, provider->Name(), opts, Compute(g, *provider)));
 
   // Different provider name.
-  EXPECT_FALSE(LoadEdgeProximityCache(dir, g, "other_provider", opts)
-                   .has_value());
+  EXPECT_FALSE(Load(dir, g, "other_provider", opts).has_value());
   // Any options change invalidates, even a field this provider ignores.
   ProximityOptions changed = opts;
   changed.katz_beta = 0.07;
-  EXPECT_FALSE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), changed).has_value());
+  EXPECT_FALSE(Load(dir, g, provider->Name(), changed).has_value());
   changed = opts;
   changed.seed += 1;
-  EXPECT_FALSE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), changed).has_value());
+  EXPECT_FALSE(Load(dir, g, provider->Name(), changed).has_value());
   // The original key still hits.
-  EXPECT_TRUE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts).has_value());
+  EXPECT_TRUE(Load(dir, g, provider->Name(), opts).has_value());
 }
 
 // --- corrupt / truncated cache recovery -------------------------------------
@@ -210,23 +248,18 @@ TEST_F(ProximityEngineTest, TruncatedCacheFileRejectedAndRecomputed) {
   const Graph g = ErdosRenyiGnm(80, 180, 31);
   const ProximityOptions opts = TestOptions();
   const auto provider = MakeProximity(ProximityKind::kResourceAllocation, g);
-  const EdgeProximity computed = ComputeEdgeProximities(g, *provider);
-  ASSERT_TRUE(
-      SaveEdgeProximityCache(dir, g, provider->Name(), opts, computed));
+  ASSERT_TRUE(Save(dir, g, provider->Name(), opts, Compute(g, *provider)));
 
   const std::string path = CachePathFor(dir, g, *provider, opts);
   const auto full_size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, full_size / 2);
-  EXPECT_FALSE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts).has_value());
+  EXPECT_FALSE(Load(dir, g, provider->Name(), opts).has_value());
 
   // The cache-through front end must silently recompute and repair the file.
-  ThreadPool pool(2);
   const EdgeProximity recomputed =
-      CachedEdgeProximities(g, *provider, opts, pool, dir);
-  ExpectBitIdentical(computed, recomputed);
-  EXPECT_TRUE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts).has_value());
+      CachedEdgeProximities(g, *provider, opts, 2, dir);
+  ExpectBitIdentical(ComputeEdgeProximities(g, *provider), recomputed);
+  EXPECT_TRUE(Load(dir, g, provider->Name(), opts).has_value());
 }
 
 TEST_F(ProximityEngineTest, BitFlippedCacheFileRejected) {
@@ -234,8 +267,7 @@ TEST_F(ProximityEngineTest, BitFlippedCacheFileRejected) {
   const Graph g = ErdosRenyiGnm(80, 180, 33);
   const ProximityOptions opts = TestOptions();
   const auto provider = MakeProximity(ProximityKind::kCommonNeighbors, g);
-  ASSERT_TRUE(SaveEdgeProximityCache(dir, g, provider->Name(), opts,
-                                     ComputeEdgeProximities(g, *provider)));
+  ASSERT_TRUE(Save(dir, g, provider->Name(), opts, Compute(g, *provider)));
 
   const std::string path = CachePathFor(dir, g, *provider, opts);
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
@@ -248,8 +280,7 @@ TEST_F(ProximityEngineTest, BitFlippedCacheFileRejected) {
   f.write(&byte, 1);
   f.close();
 
-  EXPECT_FALSE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts).has_value());
+  EXPECT_FALSE(Load(dir, g, provider->Name(), opts).has_value());
 }
 
 TEST_F(ProximityEngineTest, GarbageFileRejected) {
@@ -257,20 +288,18 @@ TEST_F(ProximityEngineTest, GarbageFileRejected) {
   const Graph g = ErdosRenyiGnm(40, 90, 35);
   const ProximityOptions opts = TestOptions();
   const auto provider = MakeProximity(ProximityKind::kJaccard, g);
-  std::filesystem::create_directories(dir);
+  const std::string path = CachePathFor(dir, g, *provider, opts);
+  std::filesystem::create_directories(
+      std::filesystem::path(path).parent_path());
   {
-    std::ofstream out(CachePathFor(dir, g, *provider, opts),
-                      std::ios::binary);
+    std::ofstream out(path, std::ios::binary);
     out << "this is not a proximity cache";
   }
-  EXPECT_FALSE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts).has_value());
+  EXPECT_FALSE(Load(dir, g, provider->Name(), opts).has_value());
   {
-    std::ofstream out(CachePathFor(dir, g, *provider, opts),
-                      std::ios::binary);  // zero-byte file
+    std::ofstream out(path, std::ios::binary);  // zero-byte file
   }
-  EXPECT_FALSE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts).has_value());
+  EXPECT_FALSE(Load(dir, g, provider->Name(), opts).has_value());
 }
 
 // --- shard-granular passes (the out-of-core pipeline) ------------------------
@@ -302,12 +331,16 @@ TEST_P(AllKindsEngineTest, ShardedEngineMatchesSerialForEveryShardCount) {
   const ProximityOptions opts = TestOptions();
   const auto provider = MakeProximity(GetParam(), g, opts);
   const EdgeProximity serial = ComputeEdgeProximities(g, *provider);
-  ThreadPool pool(2);
   for (size_t shards : {1UL, 4UL, 9UL}) {
     InMemoryGraphStore store(g, shards);
-    ExpectBitIdentical(
-        serial, ShardedEdgeProximities(store, *provider, opts, pool,
-                                       /*cache_root=*/""));
+    for (size_t threads : {1UL, 2UL, 4UL, 8UL}) {
+      SCOPED_TRACE(testing::Message() << shards << " shards, " << threads
+                                      << " threads");
+      ThreadPool pool(threads);
+      ExpectBitIdentical(
+          serial, ShardedEdgeProximities(store, *provider, opts, pool,
+                                         /*cache_root=*/""));
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 #include "embedding/subgraph_sampler.h"
 #include "util/digest.h"
 #include "util/rng.h"
+#include "test_dir.h"
 
 namespace sepriv {
 namespace {
@@ -25,12 +26,9 @@ constexpr size_t kTinyPage = 96;
 
 class SampleStoreTest : public ::testing::Test {
  protected:
-  std::string TempPath(const std::string& name) {
-    const std::string path = testing::TempDir() + "/samples_" + name;
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    return path;
-  }
+  std::string TempPath(const std::string& name) const { return tmp_ / name; }
+
+  const TestDir tmp_;
 
   /// Deterministic pseudo-random samples: n samples over `num_nodes` nodes
   /// with k negatives each, plus one distinct weight per sample.

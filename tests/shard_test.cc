@@ -9,18 +9,18 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "test_dir.h"
 
 namespace sepriv {
 namespace {
 
 class ShardTest : public ::testing::Test {
  protected:
-  std::string TempDirFor(const std::string& name) {
-    const std::string dir = testing::TempDir() + "/shard_" + name;
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-    return dir;
+  std::string TempDirFor(const std::string& name) const {
+    return tmp_ / name;
   }
+
+  const TestDir tmp_;
 
   /// Flips one byte at `offset` in `path`.
   static void CorruptByte(const std::string& path, size_t offset) {
