@@ -41,7 +41,8 @@ struct Variant {
 int main() {
   const Profile profile = GetProfile();
   PrintBenchHeader("Ablation — §IV-B design choices",
-                   "DESIGN.md §2.1 (no direct paper table)", profile);
+                   "NegativeWeighting in core/config.h; no direct paper table",
+                   profile);
 
   const Graph graph = MakeBenchGraph(DatasetId::kChameleon, profile);
   const EdgeProximity dw =

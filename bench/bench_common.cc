@@ -89,8 +89,8 @@ void PrintBenchHeader(const std::string& table_name,
               profile.full ? "FULL (paper scale)" : "FAST (set SEPRIV_FULL=1 for paper scale)",
               profile.repeats, profile.dim, profile.se_epochs,
               profile.lp_epochs);
-  std::printf("datasets: synthetic stand-ins (DESIGN.md §3); compare SHAPES, "
-              "not absolute values\n");
+  std::printf("datasets: synthetic stand-ins (graph/datasets.h); compare "
+              "SHAPES, not absolute values\n");
   std::printf("=============================================================\n");
 }
 

@@ -1,5 +1,5 @@
 // Shared plumbing for the bench/ binaries that regenerate the paper's tables
-// and figures (see DESIGN.md §4 for the experiment index).
+// and figures (README "Benches and examples" lists them).
 //
 // Every binary honours two profiles:
 //   FAST (default)      — reduced dataset scales / repeats / dimensions so
@@ -40,7 +40,7 @@ struct Profile {
 /// Reads SEPRIV_FULL from the environment.
 Profile GetProfile();
 
-/// Stand-in graph for `id` at the profile's scale (DESIGN.md §3).
+/// Stand-in graph for `id` at the profile's scale (graph/datasets.h).
 Graph MakeBenchGraph(DatasetId id, const Profile& profile);
 
 /// Per-edge proximities for a preference kind (walks sampled for the large

@@ -73,7 +73,8 @@ int main(int argc, char** argv) {
   std::vector<std::vector<uint32_t>> batches;
   batches.reserve(steps);
   for (size_t i = 0; i < steps; ++i) {
-    batches.push_back(sampler.SampleBatch(batch_size, batch_rng));
+    batches.push_back(
+        SampleBatchIndices(sampler.size(), batch_size, batch_rng));
   }
 
   Rng init_rng(4);

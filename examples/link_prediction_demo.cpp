@@ -33,7 +33,7 @@ double RunOnce(const LinkPredictionSplit& split, double epsilon,
 }  // namespace
 
 int main() {
-  // Arxiv-like collaboration network stand-in (see DESIGN.md §3).
+  // Arxiv-like collaboration network stand-in (see graph/datasets.h).
   Graph graph = MakeDataset(DatasetId::kArxiv, /*scale=*/0.2);
   // sepriv-privflow: allow(leak): demo on a bundled synthetic graph; the printed summary is illustrative, not a data release
   std::printf("Graph: %s (Arxiv stand-in)\n", graph.Summary().c_str());

@@ -119,7 +119,7 @@ EmbedderResult DpgVaeEmbedder::Embed(const Graph& graph) {
     enc1.Backward(gh_pre);
 
     if (!o.non_private) {
-      // Batch-level clip + noise (simplified DPSGD; DESIGN.md §2.3).
+      // Batch-level clip + noise (simplified DPSGD; see dpgvae.h).
       double sq = enc1.GradSquaredNorm() + enc_mu.GradSquaredNorm() +
                   enc_lv.GradSquaredNorm();
       const double scale = ClipScale(std::sqrt(sq), o.clip_threshold);

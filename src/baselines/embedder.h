@@ -2,9 +2,10 @@
 // paper's evaluation (DPGGAN, DPGVAE [2], GAP [6], ProGAP [7]).
 //
 // Each baseline is re-implemented from scratch on the src/nn substrate in a
-// reduced but behaviour-preserving form; DESIGN.md §2.3 documents exactly
-// what is preserved (mechanism type, where noise enters, how the privacy
-// budget splits) and what is simplified (width/depth/schedules).
+// reduced but behaviour-preserving form; each baseline's header
+// (dpggan.h, dpgvae.h, gap.h) documents what is preserved (mechanism type,
+// where noise enters, how the privacy budget splits) and what is simplified
+// (width/depth/schedules).
 
 #ifndef SEPRIVGEMB_BASELINES_EMBEDDER_H_
 #define SEPRIVGEMB_BASELINES_EMBEDDER_H_

@@ -81,7 +81,7 @@ EmbedderResult GapEmbedder::Embed(const Graph& graph) {
   // aggregations (the compatibility flaw §VI-D describes), so the per-query
   // noise is calibrated for agg_epochs × hops Gaussian queries, doubled to
   // account for the DPSGD cost of the classification modules the original
-  // system also trains (DESIGN.md §2.3).
+  // system also trains.
   const size_t num_queries =
       2 * std::max<size_t>(1, o.agg_epochs) * static_cast<size_t>(o.hops);
   const double sigma =
@@ -120,7 +120,7 @@ EmbedderResult ProGapEmbedder::Embed(const Graph& graph) {
 
   // Progressive training: each stage perturbs its aggregation ONCE and
   // caches it, so only `hops` queries split the budget — doubled for the
-  // per-stage module training cost (DESIGN.md §2.3).
+  // per-stage module training cost.
   const auto num_queries = 2 * static_cast<size_t>(o.hops);
   const double sigma =
       o.non_private

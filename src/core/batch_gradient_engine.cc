@@ -60,16 +60,9 @@ double BatchGradientEngine::AccumulateBatch(const SkipGramModel& model,
                                             std::span<const Subgraph> subgraphs,
                                             std::span<const uint32_t> batch) {
   InMemorySampleSource source(subgraphs, edge_weights_);
-  return AccumulateBatch(model, source, batch);
-}
-
-double BatchGradientEngine::AccumulateBatch(const SkipGramModel& model,
-                                            SampleSource& source,
-                                            std::span<const uint32_t> batch) {
   double loss = 0.0;
-  const Status status = TryAccumulateBatch(model, source, batch, &loss);
-  SEPRIV_CHECK(status.ok(), "batch accumulation failed: %s",
-               status.ToString().c_str());
+  SEPRIV_CHECK(TryAccumulateBatch(model, source, batch, &loss).ok(),
+               "a resident sample source cannot fail to pin");
   return loss;
 }
 

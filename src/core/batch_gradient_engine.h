@@ -76,8 +76,8 @@ struct BatchGradientEngineOptions {
 /// One training sample as the gradient phase consumes it: the (center,
 /// context, negatives) triple plus its resolved positive weight p_ij. The
 /// negatives span points into source-owned storage and is only valid until
-/// the source's next PinShard call (or destruction). Sensitive: a sample IS
-/// a raw edge plus adjacency-derived negatives.
+/// the source's next TryPinShard call (or destruction). Sensitive: a sample
+/// IS a raw edge plus adjacency-derived negatives.
 struct SEPRIV_SENSITIVE_SOURCE SampleView {
   NodeId center = 0;
   NodeId context = 0;
@@ -86,7 +86,7 @@ struct SEPRIV_SENSITIVE_SOURCE SampleView {
 };
 
 /// Where a batch's samples come from. Implementations: the in-memory
-/// Subgraph vector (single shard, Pin is a no-op) and the disk-backed
+/// Subgraph vector (single shard, pinning is a no-op) and the disk-backed
 /// SampleStore (samples paged through a BufferPool).
 class SampleSource {
  public:
@@ -105,16 +105,11 @@ class SampleSource {
   virtual size_t ShardOf(uint32_t /*idx*/) const { return 0; }
 
   /// Makes shard `s` resident; Get() for its samples is valid (and must be
-  /// safe to call concurrently from pool workers) until the next PinShard.
-  virtual void PinShard(size_t /*s*/) {}
-
-  /// Recoverable variant: disk-backed sources surface IO/corruption as a
-  /// structured error (after their own bounded re-read recovery) instead of
-  /// aborting. The default wraps PinShard, which never fails in memory.
-  virtual Status TryPinShard(size_t s) {
-    PinShard(s);
-    return OkStatus();
-  }
+  /// safe to call concurrently from pool workers) until the next
+  /// TryPinShard. Disk-backed sources surface IO/corruption as a structured
+  /// error after their own bounded re-read recovery; the default (a
+  /// resident source) never fails.
+  virtual Status TryPinShard(size_t /*s*/) { return OkStatus(); }
 
   virtual void PrefetchShard(size_t /*s*/) {}
 
@@ -156,29 +151,26 @@ class BatchGradientEngine {
   BatchGradientEngine(const BatchGradientEngineOptions& opts,
                       std::span<const double> edge_weights);
 
-  /// Computes the clipped per-sample gradients of `batch` (indices into
-  /// `subgraphs`) in parallel and reduces them in sample order into the
-  /// internal accumulators. Returns the summed batch loss (sample order, so
-  /// also thread-count invariant).
+  /// Computes the clipped per-sample gradients of `batch` (sample indices
+  /// into `source`) in parallel and reduces them in sample order into the
+  /// internal accumulators; `*loss` receives the summed batch loss (sample
+  /// order, so also thread-count invariant). Visits the batch shard-by-shard
+  /// (TryPinShard + PrefetchShard of the next group) but writes each
+  /// sample's gradient to its original batch slot, so the result is
+  /// bit-identical for every shard geometry, thread count, and pool budget.
+  /// A shard pin failure (after the source's own bounded retries) surfaces
+  /// as a structured error with `*loss` untouched and the accumulators left
+  /// as they were before the call, so the epoch driver can re-run or
+  /// abandon the batch.
+  Status TryAccumulateBatch(const SkipGramModel& model, SampleSource& source,
+                            std::span<const uint32_t> batch, double* loss);
+
+  /// TryAccumulateBatch over a resident Subgraph vector (indices into
+  /// `subgraphs`, weights from the constructor's `edge_weights`); returns
+  /// the batch loss. Cannot fail: a resident source never does.
   double AccumulateBatch(const SkipGramModel& model,
                          std::span<const Subgraph> subgraphs,
                          std::span<const uint32_t> batch);
-
-  /// Source-driven form: `batch` holds sample indices into `source`. Visits
-  /// the batch shard-by-shard (PinShard + PrefetchShard of the next group)
-  /// but writes each sample's gradient to its original batch slot, so the
-  /// accumulated result — and the returned sample-order loss — is
-  /// bit-identical to the in-memory overload for every shard geometry,
-  /// thread count, and pool budget. Aborts if the source's storage fails.
-  double AccumulateBatch(const SkipGramModel& model, SampleSource& source,
-                         std::span<const uint32_t> batch);
-
-  /// Recoverable form of the source-driven overload: a shard pin failure
-  /// (after the source's own bounded retries) surfaces as a structured error
-  /// with `*loss` untouched and the accumulators left as they were before
-  /// the call, so the epoch driver can re-run or abandon the batch.
-  Status TryAccumulateBatch(const SkipGramModel& model, SampleSource& source,
-                            std::span<const uint32_t> batch, double* loss);
 
   /// Ñ(·) of Eq. (9): adds N(0, stddev²) to every touched accumulator row,
   /// generated in row blocks on the pool. Consumes one draw from `rng` to

@@ -16,7 +16,8 @@ enum class PerturbationStrategy {
   kNonZero,  // SE-PrivGEmb Eq. (9): sensitivity C, noise on touched rows only
 };
 
-/// Weight of each negative term in the per-sample loss (DESIGN.md §2.1).
+/// Weight of each negative term in the per-sample loss (ablated by
+/// bench/bench_ablation_negweight.cc).
 enum class NegativeWeighting {
   kPaperPij,     // literal Eq. (5): both terms weighted p_ij
   kUnifiedMinP,  // idealized objective (13): negatives weighted min(P)

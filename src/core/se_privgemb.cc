@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "core/batch_gradient_engine.h"
@@ -65,10 +67,10 @@ Status ResolveCheckpointPlan(const TrainCheckpointOptions& options,
   return load;
 }
 
-/// The epoch loop of Algorithm 2 (lines 4–10), shared verbatim by the
-/// in-memory and out-of-core trainers: both hand it a SampleSource and the
-/// same Rng position, so every downstream draw — batch subsampling, noise
-/// substreams — and therefore the model is identical between them.
+/// The epoch loop of Algorithm 2 (lines 4–10) over `source`, starting at the
+/// Rng position RunAlgorithm2 leaves after the model init, so every
+/// downstream draw — batch subsampling, noise substreams — and therefore
+/// the model is the same for every storage.
 /// Sanitizer: this is the accountant-gated perturbation loop itself.
 /// Returns a structured error if a batch fails its bounded IO recovery or a
 /// checkpoint cannot be durably published; the partially-trained model in
@@ -76,8 +78,9 @@ Status ResolveCheckpointPlan(const TrainCheckpointOptions& options,
 SEPRIV_DP_SANITIZER
 Status RunEpochs(const SePrivGEmbConfig& cfg, size_t num_nodes,
                  double min_weight, SampleSource& source,
-                 const AliasTable* positive_alias, SkipGramModel& model,
-                 Rng& rng, const CheckpointPlan& plan, TrainResult& result) {
+                 const AliasTable* positive_alias, Rng& rng,
+                 const CheckpointPlan& plan, TrainResult& result) {
+  SkipGramModel& model = result.model;
   const bool is_private = cfg.perturbation != PerturbationStrategy::kNone;
   const size_t population = source.size();
 
@@ -259,7 +262,9 @@ Status RunEpochs(const SePrivGEmbConfig& cfg, size_t num_nodes,
 /// AdjacencyOracle over a GraphStore: pins the center's shard on demand.
 /// Releases its previous pin BEFORE taking the next one, so together with
 /// the consumer's own sequential pin it never holds more than two — the
-/// store's minimum pool budget.
+/// store's minimum pool budget. The first pin failure is sticky: from then
+/// on every query answers false without touching the store, and the caller
+/// checks status() after each shard's edge walk.
 class StoreAdjacencyOracle final : public AdjacencyOracle {
  public:
   explicit StoreAdjacencyOracle(GraphStore& store)
@@ -267,48 +272,138 @@ class StoreAdjacencyOracle final : public AdjacencyOracle {
 
   size_t num_nodes() const override { return num_nodes_; }
   bool HasEdge(NodeId u, NodeId v) const override {
+    if (!status_.ok()) return false;
     const size_t s = store_.manifest().ShardOfNode(u);
     if (s != cur_shard_) {
       cur_ = PinnedShard();
-      cur_ = store_.Pin(s);
+      status_ = store_.TryPin(s, &cur_);
+      if (!status_.ok()) return false;
       cur_shard_ = s;
     }
     return cur_->HasEdge(u, v);
   }
+
+  /// The first pin failure, or Ok.
+  const Status& status() const { return status_; }
 
  private:
   GraphStore& store_;
   size_t num_nodes_;
   mutable PinnedShard cur_;
   mutable size_t cur_shard_ = SIZE_MAX;
+  mutable Status status_;
 };
+
+/// Pins every shard of `store` in order, prefetching the next one, and
+/// hands each view to fn(s, view) -> Status. Stops at the first failure.
+template <typename Fn>
+Status ForEachShard(GraphStore& store, Fn&& fn) {
+  const size_t num_shards = store.num_shards();
+  for (size_t s = 0; s < num_shards; ++s) {
+    if (s + 1 < num_shards) store.Prefetch(s + 1);
+    PinnedShard pin;
+    SEPRIV_RETURN_IF_ERROR(store.TryPin(s, &pin));
+    SEPRIV_RETURN_IF_ERROR(fn(s, pin.view()));
+  }
+  return OkStatus();
+}
+
+/// What the in-memory and out-of-core trainers do differently: where GS
+/// lives and where p_ij comes from.
+struct TrainStorage {
+  size_t num_nodes = 0;
+  size_t num_edges = 0;
+  uint64_t graph_fingerprint = 0;  // keys checkpoints to this graph
+  double min_weight = 0.0;         // min(P) of the evaluated preference
+  /// The resident p_ij table, or null when p_ij streams from the per-shard
+  /// cache (then proximity-weighted positive sampling is unavailable).
+  const std::vector<double>* resident_weights = nullptr;
+  /// Algorithm 1 (line 2) from `sampler_seed`: the source of GS that
+  /// serves the epochs, valid until the front end returns.
+  std::function<Status(uint64_t sampler_seed, SampleSource** samples)> sample;
+};
+
+/// Algorithm 2 over either storage: config validation, the checkpoint plan,
+/// the Rng(seed) → sampler seed → model init draw order, and the
+/// accountant-gated epochs. Both trainers are front ends over this one
+/// body, so for the same graph and config their results are bit-identical.
+/// `ckpt` null disables checkpointing; `require_checkpoint` turns a missing
+/// checkpoint file into an error instead of a fresh start.
+SEPRIV_DP_SANITIZER
+Status RunAlgorithm2(const SePrivGEmbConfig& cfg, const TrainStorage& storage,
+                     const TrainCheckpointOptions* ckpt,
+                     bool require_checkpoint, TrainResult* out) {
+  SEPRIV_CHECK(storage.num_edges > 0, "cannot train on an empty graph");
+  SEPRIV_CHECK(cfg.dim >= 1 && cfg.batch_size >= 1, "bad dim/batch config");
+  const bool weighted =
+      cfg.positive_sampling == PositiveSampling::kProximityWeighted;
+  // Proximity-weighted positive sampling draws edges WITH replacement from a
+  // non-uniform distribution; the subsampled-RDP accountant assumes uniform
+  // without-replacement batches (Definition 6), so combining the two would
+  // under-report ε. Reject rather than silently publish an invalid privacy
+  // claim.
+  SEPRIV_CHECK(
+      !(weighted && cfg.perturbation != PerturbationStrategy::kNone),
+      "proximity-weighted positive sampling is incompatible with private "
+      "training: the RDP accountant's sampling_rate assumes uniform "
+      "without-replacement batches (use PerturbationStrategy::kNone)");
+  SEPRIV_CHECK(!weighted || storage.resident_weights != nullptr,
+               "proximity-weighted positive sampling needs the resident "
+               "weight table; out-of-core training is uniform-only");
+
+  CheckpointPlan plan;
+  TrainCheckpoint resume_ck;
+  if (ckpt != nullptr) {
+    SEPRIV_RETURN_IF_ERROR(ResolveCheckpointPlan(
+        *ckpt, storage.graph_fingerprint, cfg.Digest(), require_checkpoint,
+        &resume_ck, &plan));
+  }
+
+  Rng rng(cfg.seed);
+  TrainResult result;
+  result.min_proximity = storage.min_weight;
+  // Line 2 seeds Algorithm 1's own stream, line 3 initialises Win / Wout.
+  const uint64_t sampler_seed = rng.Next();
+  result.model = SkipGramModel(storage.num_nodes, cfg.dim, rng);
+  SampleSource* samples = nullptr;
+  SEPRIV_RETURN_IF_ERROR(storage.sample(sampler_seed, &samples));
+  SEPRIV_CHECK(samples->size() == storage.num_edges,
+               "Algorithm 1 must emit one sample per edge");
+
+  // Optional proximity-weighted positive sampling (ablation mode).
+  AliasTable positive_alias;
+  if (weighted) positive_alias.Build(*storage.resident_weights);
+
+  SEPRIV_RETURN_IF_ERROR(RunEpochs(
+      cfg, storage.num_nodes, storage.min_weight, *samples,
+      weighted ? &positive_alias : nullptr, rng, plan, result));
+  *out = std::move(result);
+  return OkStatus();
+}
+
+/// The structure preference p_ij on every edge (§II-D), on the sharded
+/// proximity engine (cache-through when a cache directory is configured):
+/// bit-identical to the serial ComputeEdgeProximities for every shard count,
+/// thread count and cache state. proximity_shards 1 is the whole-graph case
+/// (the shard planner clamps 0 to 1); larger values exercise the
+/// out-of-core shard walk.
+EdgeProximity ComputePreference(const Graph& graph, ProximityKind kind,
+                                const SePrivGEmbConfig& config,
+                                const ProximityOptions& prox_opts) {
+  const auto provider = MakeProximity(kind, graph, prox_opts);
+  InMemoryGraphStore store(graph, config.proximity_shards);
+  ThreadPool pool(config.ResolvedThreads());
+  return ShardedEdgeProximities(store, *provider, prox_opts, pool,
+                                config.ResolvedProximityCachePath());
+}
 
 }  // namespace
 
 SePrivGEmb::SePrivGEmb(const Graph& graph, ProximityKind preference,
                        const SePrivGEmbConfig& config,
                        const ProximityOptions& prox_opts)
-    : graph_(graph), config_(config) {
-  // The structure-preference precompute runs on the sharded proximity
-  // engine (cache-through when a cache directory is configured): the output
-  // is bit-identical to the serial ComputeEdgeProximities for every shard
-  // count, thread count and cache state. proximity_shards 1 is the
-  // whole-graph case (the shard planner clamps 0 to 1); larger values
-  // exercise the out-of-core shard walk.
-  const auto provider = MakeProximity(preference, graph, prox_opts);
-  InMemoryGraphStore store(graph, config_.proximity_shards);
-  ThreadPool pool(config_.ResolvedThreads());
-  EdgeProximity prox =
-      ShardedEdgeProximities(store, *provider, prox_opts, pool,
-                             config_.ResolvedProximityCachePath());
-  if (config_.normalize_proximity) {
-    owned_weights_ = std::move(prox.normalized);
-    min_weight_ = prox.normalized_min_positive;
-  } else {
-    owned_weights_ = std::move(prox.values);
-    min_weight_ = prox.min_positive;
-  }
-}
+    : SePrivGEmb(graph, ComputePreference(graph, preference, config, prox_opts),
+                 config) {}
 
 SePrivGEmb::SePrivGEmb(const Graph& graph, EdgeProximity&& preference,
                        const SePrivGEmbConfig& config)
@@ -366,56 +461,22 @@ Status SePrivGEmb::ResumeFromCheckpoint(const TrainCheckpointOptions& ckpt,
 
 Status SePrivGEmb::TrainInternal(const TrainCheckpointOptions* ckpt,
                                  bool require_checkpoint, TrainResult* out) {
-  const SePrivGEmbConfig& cfg = config_;
-  SEPRIV_CHECK(graph_.num_edges() > 0, "cannot train on an empty graph");
-  SEPRIV_CHECK(cfg.dim >= 1 && cfg.batch_size >= 1, "bad dim/batch config");
-
-  const bool is_private = cfg.perturbation != PerturbationStrategy::kNone;
-  // Proximity-weighted positive sampling draws edges WITH replacement from a
-  // non-uniform distribution; the subsampled-RDP accountant below assumes
-  // uniform without-replacement batches (Definition 6), so combining the two
-  // would under-report ε. Reject rather than silently publish an invalid
-  // privacy claim.
-  SEPRIV_CHECK(
-      !(is_private &&
-        cfg.positive_sampling == PositiveSampling::kProximityWeighted),
-      "proximity-weighted positive sampling is incompatible with private "
-      "training: the RDP accountant's sampling_rate assumes uniform "
-      "without-replacement batches (use PerturbationStrategy::kNone)");
-
-  CheckpointPlan plan;
-  TrainCheckpoint resume_ck;
-  if (ckpt != nullptr) {
-    SEPRIV_RETURN_IF_ERROR(ResolveCheckpointPlan(
-        *ckpt, graph_.Fingerprint(), cfg.Digest(), require_checkpoint,
-        &resume_ck, &plan));
-  }
-
-  Rng rng(cfg.seed);
-  TrainResult result;
-  result.min_proximity = min_weight_;
-
-  // Algorithm 2 line 2: disjoint subgraphs, negatives fixed before training.
-  SubgraphSampler sampler(graph_, cfg.negatives, rng.Next(),
-                          EdgeOrientation::kRandom,
-                          cfg.negatives_exclude_neighbors);
-
-  // Line 3: initialise Win / Wout.
-  result.model = SkipGramModel(graph_.num_nodes(), cfg.dim, rng);
-
-  // Optional proximity-weighted positive sampling (ablation mode).
-  AliasTable positive_alias;
-  const bool weighted =
-      cfg.positive_sampling == PositiveSampling::kProximityWeighted;
-  if (weighted) positive_alias.Build(*weights_);
-
-  InMemorySampleSource source(sampler.All(), *weights_);
-  SEPRIV_RETURN_IF_ERROR(RunEpochs(cfg, graph_.num_nodes(), min_weight_,
-                                   source,
-                                   weighted ? &positive_alias : nullptr,
-                                   result.model, rng, plan, result));
-  *out = std::move(result);
-  return OkStatus();
+  // GS stays resident: the bulk sampler's Subgraph vector, read through the
+  // p_ij table the constructor built.
+  std::optional<SubgraphSampler> sampler;
+  std::optional<InMemorySampleSource> source;
+  const TrainStorage storage{
+      graph_.num_nodes(), graph_.num_edges(), graph_.Fingerprint(),
+      min_weight_, weights_,
+      [&](uint64_t sampler_seed, SampleSource** samples) {
+        sampler.emplace(graph_, config_.negatives, sampler_seed,
+                        EdgeOrientation::kRandom,
+                        config_.negatives_exclude_neighbors);
+        source.emplace(sampler->All(), *weights_);
+        *samples = &*source;
+        return OkStatus();
+      }};
+  return RunAlgorithm2(config_, storage, ckpt, require_checkpoint, out);
 }
 
 TrainResult TrainOutOfCore(GraphStore& store, ProximityKind preference,
@@ -434,86 +495,56 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
                          const SePrivGEmbConfig& config,
                          const OutOfCoreTrainOptions& ooc, TrainResult* out,
                          const ProximityOptions& prox_opts) {
-  const SePrivGEmbConfig& cfg = config;
   SEPRIV_CHECK(preference == ProximityKind::kPreferentialAttachment,
                "out-of-core training supports the degree preference only "
                "(the one whose oracle state is node-level)");
   SEPRIV_CHECK(!ooc.work_dir.empty(), "work_dir is required");
-  SEPRIV_CHECK(cfg.positive_sampling == PositiveSampling::kUniformEdges,
-               "proximity-weighted positive sampling needs the resident "
-               "weight table; out-of-core training is uniform-only");
-  const size_t n = store.num_nodes();
-  const size_t num_edges = store.num_edges();
-  SEPRIV_CHECK(num_edges > 0, "cannot train on an empty graph");
-  SEPRIV_CHECK(cfg.dim >= 1 && cfg.batch_size >= 1, "bad dim/batch config");
   ::mkdir(ooc.work_dir.c_str(), 0755);  // EEXIST is fine
 
-  const size_t num_shards = store.num_shards();
-  ThreadPool pool(cfg.ResolvedThreads());
-  const std::string cache_root = ooc.work_dir + "/proxcache";
+  // Preference: the degree vector (the node-level oracle state, O(|V|)) from
+  // one shard scan, then per-shard proximity passes streamed into the shared
+  // floor/scale reduction. The passes are cache-through, so Algorithm 1
+  // reloads them warm; never more than one shard's edge table is resident.
+  std::vector<double> degrees(store.num_nodes(), 0.0);
+  SEPRIV_RETURN_IF_ERROR(
+      ForEachShard(store, [&](size_t, const ShardView& view) {
+        for (NodeId u = view.node_begin; u < view.node_end; ++u) {
+          degrees[u] = static_cast<double>(view.Degree(u));
+        }
+        return OkStatus();
+      }));
+  const DegreeVectorProximity provider(std::move(degrees), store.num_edges());
   const uint64_t graph_fp = store.fingerprint();
-
-  CheckpointPlan plan;
-  TrainCheckpoint resume_ck;
-  if (!ooc.checkpoint.path.empty()) {
-    SEPRIV_RETURN_IF_ERROR(ResolveCheckpointPlan(
-        ooc.checkpoint, graph_fp, cfg.Digest(),
-        /*require_checkpoint=*/false, &resume_ck, &plan));
-  }
-
-  // Degree vector: the node-level oracle state of the degree preference.
-  // O(|V|) resident, one sequential shard scan. Shard reads that fail their
-  // bounded recovery surface as structured errors from here on.
-  std::vector<double> degrees(n, 0.0);
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (s + 1 < num_shards) store.Prefetch(s + 1);
-    PinnedShard pin;
-    SEPRIV_RETURN_IF_ERROR(store.TryPin(s, &pin));
-    for (NodeId u = pin->node_begin; u < pin->node_end; ++u) {
-      degrees[u] = static_cast<double>(pin->Degree(u));
-    }
-  }
-  DegreeVectorProximity provider(std::move(degrees), num_edges);
-
-  // Pass A: per-shard proximity passes (cache-through, so pass B reloads
-  // them warm) streamed into the shared floor/scale reduction. Never holds
-  // more than one shard's edge table.
+  const std::string cache_root = ooc.work_dir + "/proxcache";
+  ThreadPool pool(config.ResolvedThreads());
+  const auto shard_proximities = [&](size_t s, const ShardView& view) {
+    return CachedShardProximities(view, s, graph_fp, provider, prox_opts, pool,
+                                  cache_root);
+  };
   ProximityFinalizer fin;
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (s + 1 < num_shards) store.Prefetch(s + 1);
-    PinnedShard pin;
-    SEPRIV_RETURN_IF_ERROR(store.TryPin(s, &pin));
-    const ShardProximity sp = CachedShardProximities(
-        pin.view(), s, graph_fp, provider, prox_opts, pool, cache_root);
-    for (size_t k = 0; k < sp.forward.size(); ++k) {
-      fin.Accumulate(0.5 * (sp.forward[k] + sp.backward[k]));
-    }
-  }
+  SEPRIV_RETURN_IF_ERROR(
+      ForEachShard(store, [&](size_t s, const ShardView& view) {
+        const ShardProximity sp = shard_proximities(s, view);
+        for (size_t k = 0; k < sp.forward.size(); ++k) {
+          fin.Accumulate(0.5 * (sp.forward[k] + sp.backward[k]));
+        }
+        return OkStatus();
+      }));
   fin.Seal();
-  SEPRIV_CHECK(fin.count() == num_edges, "proximity pass lost edges");
-  const double min_weight = cfg.normalize_proximity
-                                ? fin.normalized_min_positive()
-                                : fin.min_positive();
+  SEPRIV_CHECK(fin.count() == store.num_edges(), "proximity pass lost edges");
 
-  Rng rng(cfg.seed);
-  TrainResult result;
-  result.min_proximity = min_weight;
-
-  // Algorithm 2 line 2, streamed: the generator reproduces the bulk
-  // sampler's RNG stream edge by edge; samples go to disk, not memory. The
-  // seed draw and the line-3 model init consume `rng` in the exact order
-  // Train() does.
-  const uint64_t sampler_seed = rng.Next();
-  result.model = SkipGramModel(n, cfg.dim, rng);
-
+  // GS streams to an on-disk sample store: the generator reproduces the
+  // bulk sampler's RNG stream edge by edge, and each sample is written with
+  // its p_ij weight. Resident state stays O(|V| + one shard + pool budget).
   const std::string samples_path = ooc.work_dir + "/samples.bin";
-  {
+  std::unique_ptr<SampleStore> samples;
+  const auto write_samples = [&](uint64_t sampler_seed) -> Status {
     StoreAdjacencyOracle oracle(store);
-    SubgraphGenerator gen(oracle, cfg.negatives, sampler_seed,
+    SubgraphGenerator gen(oracle, config.negatives, sampler_seed,
                           EdgeOrientation::kRandom,
-                          cfg.negatives_exclude_neighbors);
+                          config.negatives_exclude_neighbors);
     auto writer = SampleStoreWriter::Create(
-        samples_path, static_cast<size_t>(cfg.negatives),
+        samples_path, static_cast<size_t>(config.negatives),
         ooc.sample_page_bytes > 0 ? ooc.sample_page_bytes
                                   : kSampleStorePageBytes);
     if (writer == nullptr) {
@@ -521,47 +552,47 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
     }
     Subgraph scratch;
     bool ok = true;
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (s + 1 < num_shards) store.Prefetch(s + 1);
-      PinnedShard pin;
-      SEPRIV_RETURN_IF_ERROR(store.TryPin(s, &pin));
-      const ShardView& view = pin.view();
-      // Warm reload of this shard's raw proximities (pass A cached them);
-      // the sealed finalizer turns them into the stored p_ij weights.
-      const ShardProximity sp = CachedShardProximities(
-          view, s, graph_fp, provider, prox_opts, pool, cache_root);
-      view.ForEachEdge([&](size_t e, NodeId u, NodeId v) {
-        const size_t k = e - view.edge_begin;
-        const double sym = 0.5 * (sp.forward[k] + sp.backward[k]);
-        const double w =
-            cfg.normalize_proximity ? fin.Normalized(sym) : fin.Value(sym);
-        gen.Next(u, v, static_cast<uint32_t>(e), scratch);
-        ok = writer->Append(scratch, w) && ok;
-      });
-    }
+    SEPRIV_RETURN_IF_ERROR(
+        ForEachShard(store, [&](size_t s, const ShardView& view) {
+          const ShardProximity sp = shard_proximities(s, view);
+          view.ForEachEdge([&](size_t e, NodeId u, NodeId v) {
+            const size_t k = e - view.edge_begin;
+            const double sym = 0.5 * (sp.forward[k] + sp.backward[k]);
+            const double w = config.normalize_proximity ? fin.Normalized(sym)
+                                                        : fin.Value(sym);
+            gen.Next(u, v, static_cast<uint32_t>(e), scratch);
+            ok = writer->Append(scratch, w) && ok;
+          });
+          // A probe pin that failed has answered "no edge" since.
+          return oracle.status();
+        }));
     ok = writer->Finish() && ok;
-    if (!ok) {
-      // Prefer the writer's structured first-failure (an ENOSPC spill keeps
-      // its kNoSpace code so callers know retrying is pointless).
-      return writer->status().ok()
-                 ? IoError("sample store write failed (" + samples_path + ")")
-                 : writer->status();
-    }
-  }
-
-  auto samples = SampleStore::Open(samples_path, ooc.sample_pool_pages);
-  if (samples == nullptr) {
-    return CorruptionError("cannot open sample store " + samples_path);
-  }
-  SEPRIV_CHECK(samples->size() == num_edges, "sample store size mismatch");
-
-  SEPRIV_RETURN_IF_ERROR(RunEpochs(cfg, n, min_weight, *samples,
-                                   /*positive_alias=*/nullptr, result.model,
-                                   rng, plan, result));
-
+    if (ok) return OkStatus();
+    // Prefer the writer's structured first-failure (an ENOSPC spill keeps
+    // its kNoSpace code so callers know retrying is pointless).
+    return writer->status().ok()
+               ? IoError("sample store write failed (" + samples_path + ")")
+               : writer->status();
+  };
+  const TrainStorage storage{
+      store.num_nodes(), store.num_edges(), graph_fp,
+      config.normalize_proximity ? fin.normalized_min_positive()
+                                 : fin.min_positive(),
+      /*resident_weights=*/nullptr,
+      [&](uint64_t sampler_seed, SampleSource** out_samples) -> Status {
+        SEPRIV_RETURN_IF_ERROR(write_samples(sampler_seed));
+        samples = SampleStore::Open(samples_path, ooc.sample_pool_pages);
+        if (samples == nullptr) {
+          return CorruptionError("cannot open sample store " + samples_path);
+        }
+        *out_samples = samples.get();
+        return OkStatus();
+      }};
+  SEPRIV_RETURN_IF_ERROR(RunAlgorithm2(
+      config, storage, ooc.checkpoint.path.empty() ? nullptr : &ooc.checkpoint,
+      /*require_checkpoint=*/false, out));
   samples.reset();  // close before unlinking
   if (!ooc.keep_sample_store) std::remove(samples_path.c_str());
-  *out = std::move(result);
   return OkStatus();
 }
 

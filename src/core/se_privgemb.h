@@ -117,9 +117,11 @@ class SePrivGEmb {
   double min_weight() const { return min_weight_; }
 
  private:
-  /// Shared body of Train/TrainResumable/ResumeFromCheckpoint. `ckpt` null
-  /// disables checkpointing; `require_checkpoint` turns a missing file into
-  /// an error instead of a fresh start.
+  /// Shared body of Train/TrainResumable/ResumeFromCheckpoint: the
+  /// in-memory front end (resident GS and p_ij) of the trainer body that
+  /// TryTrainOutOfCore also runs. `ckpt` null disables checkpointing;
+  /// `require_checkpoint` turns a missing file into an error instead of a
+  /// fresh start.
   SEPRIV_DP_SANITIZER
   Status TrainInternal(const TrainCheckpointOptions* ckpt,
                        bool require_checkpoint, TrainResult* out);
@@ -175,10 +177,10 @@ TrainResult TrainOutOfCore(GraphStore& store, ProximityKind preference,
                            const ProximityOptions& prox_opts = {});
 
 /// Recoverable form of TrainOutOfCore: storage failures that survive the
-/// stack's bounded retries (shard/sample-page IO, sample-store writes,
-/// checkpoint publishes) surface as a structured error instead of aborting,
-/// and `ooc.checkpoint` enables crash-safe resume. On error `*out` holds no
-/// usable model. The aborting wrapper above is the historical contract.
+/// stack's bounded retries (shard/sample-page IO — including the negative
+/// sampler's adjacency probes — sample-store writes, checkpoint publishes)
+/// surface as a structured error instead of aborting, and `ooc.checkpoint`
+/// enables crash-safe resume. On error `*out` holds no usable model.
 SEPRIV_DP_SANITIZER
 Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
                          const SePrivGEmbConfig& config,

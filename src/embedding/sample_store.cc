@@ -73,7 +73,10 @@ std::unique_ptr<SampleStoreWriter> SampleStoreWriter::Create(
       new SampleStoreWriter(std::move(file), negatives_per_sample));
   // Reserve page 0 now; Finish() fills in the real header. A reader opening
   // an unfinished file sees a zero magic and rejects it.
-  if (writer->file_->AppendPage(writer->page_.data()) != 0) return nullptr;
+  size_t header_page = 0;
+  if (!writer->file_->TryAppendPage(writer->page_.data(), &header_page).ok()) {
+    return nullptr;
+  }
   return writer;
 }
 
@@ -216,12 +219,6 @@ std::unique_ptr<SampleStore> SampleStore::Open(const std::string& path,
   return std::unique_ptr<SampleStore>(new SampleStore(
       std::move(file), budget_pages, num_samples, k, record_bytes,
       samples_per_page, num_data_pages));
-}
-
-void SampleStore::PinShard(size_t s) {
-  const Status status = TryPinShard(s);
-  SEPRIV_CHECK(status.ok(), "sample store pin failed after retries: %s",
-               status.ToString().c_str());
 }
 
 Status SampleStore::TryPinShard(size_t s) {

@@ -111,9 +111,4 @@ std::vector<uint32_t> SampleBatchIndices(size_t population, size_t batch_size,
   return picked;
 }
 
-std::vector<uint32_t> SubgraphSampler::SampleBatch(size_t batch_size,
-                                                   Rng& rng) const {
-  return SampleBatchIndices(subgraphs_.size(), batch_size, rng);
-}
-
 }  // namespace sepriv

@@ -100,18 +100,14 @@ class SubgraphSampler {
   const std::vector<Subgraph>& All() const { return subgraphs_; }
   size_t size() const { return subgraphs_.size(); }
 
-  /// Uniformly samples `batch_size` subgraph indices without replacement
-  /// (the "subsample without replacement" setup of Definition 6).
-  std::vector<uint32_t> SampleBatch(size_t batch_size, Rng& rng) const;
-
  private:
   std::vector<Subgraph> subgraphs_;
 };
 
-/// The batch-subsampling step alone: a uniform min(batch_size, population)-
-/// subset of [0, population) without replacement. SubgraphSampler::SampleBatch
-/// delegates here; out-of-core trainers call it directly with the sample
-/// store's size (identical RNG stream, so identical batches).
+/// The batch-subsampling step (line 5 of Algorithm 2): a uniform
+/// min(batch_size, population)-subset of [0, population) without replacement
+/// — the "subsample without replacement" setup of Definition 6. Callers pass
+/// the size of whichever sample source serves the epochs.
 std::vector<uint32_t> SampleBatchIndices(size_t population, size_t batch_size,
                                          Rng& rng);
 

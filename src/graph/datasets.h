@@ -3,8 +3,9 @@
 // The paper evaluates on Chameleon, PPI, Power, Arxiv, BlogCatalog and DBLP,
 // all fetched from the web. This environment is offline, so each dataset is
 // replaced by a generator matched on |V|, |E| and coarse structure
-// (degree-tail, clustering, diameter); DESIGN.md §3 documents each
-// substitution and why it preserves the evaluated behaviour. The `scale`
+// (degree-tail, clustering, diameter). DatasetId below names each
+// substitution; MakeDataset (graph/datasets.cc) records why each preserves
+// the evaluated behaviour. The `scale`
 // parameter shrinks |V| proportionally (edge parameters fixed) so benchmark
 // binaries can run a FAST profile.
 
@@ -43,7 +44,8 @@ std::string DatasetName(DatasetId id);
 
 /// Builds the stand-in graph. `scale` in (0, 1] shrinks node count
 /// proportionally (DBLP is additionally capped at 20k nodes regardless of
-/// scale — see DESIGN.md §3). Deterministic per (id, scale, seed).
+/// scale — see the kDblp case in graph/datasets.cc). Deterministic per
+/// (id, scale, seed).
 Graph MakeDataset(DatasetId id, double scale = 1.0, uint64_t seed = 42);
 
 }  // namespace sepriv

@@ -3,7 +3,7 @@
 // These serve two purposes: (1) deterministic toy graphs for unit tests, and
 // (2) calibrated stand-ins for the six real-world datasets of the paper's
 // evaluation, which cannot be downloaded in this offline environment (see
-// DESIGN.md §3 for the substitution table).
+// graph/datasets.h for the substitution table).
 
 #ifndef SEPRIVGEMB_GRAPH_GENERATORS_H_
 #define SEPRIVGEMB_GRAPH_GENERATORS_H_

@@ -1,5 +1,6 @@
 // Descriptive graph statistics: used by the dataset stand-in calibration
-// (DESIGN.md §3), the examples, and reported in EXPERIMENTS.md.
+// (graph/datasets.cc; checked in tests/graph_stats_test.cc) and the
+// examples.
 
 #ifndef SEPRIVGEMB_GRAPH_GRAPH_STATS_H_
 #define SEPRIVGEMB_GRAPH_GRAPH_STATS_H_

@@ -176,8 +176,19 @@ InMemoryGraphStore::InMemoryGraphStore(const Graph& graph, size_t num_shards)
   }
 }
 
-PinnedShard InMemoryGraphStore::Pin(size_t s) {
-  SEPRIV_CHECK(s < manifest_.num_shards(), "shard %zu out of range", s);
+PinnedShard GraphStore::Pin(size_t s) {
+  PinnedShard pin;
+  const Status status = TryPin(s, &pin);
+  SEPRIV_CHECK(status.ok(), "cannot pin shard %zu: %s", s,
+               status.ToString().c_str());
+  return pin;
+}
+
+Status InMemoryGraphStore::TryPin(size_t s, PinnedShard* out) {
+  if (s >= manifest_.num_shards()) {
+    *out = PinnedShard();
+    return FailedPreconditionError("shard index out of range");
+  }
   const GraphShardInfo& info = manifest_.shards[s];
   ShardView view;
   view.node_begin = static_cast<NodeId>(info.node_begin);
@@ -187,7 +198,8 @@ PinnedShard InMemoryGraphStore::Pin(size_t s) {
   view.edge_count = info.edge_count;
   view.offsets = offsets64_.data() + info.node_begin;
   view.adjacency = graph_.AdjacencyArray().data() + info.adj_begin;
-  return PinnedShard(view, nullptr);  // the graph itself keeps memory alive
+  *out = PinnedShard(view, nullptr);  // the graph itself keeps memory alive
+  return OkStatus();
 }
 
 namespace internal {
@@ -383,9 +395,10 @@ bool WriteGraphShards(const Graph& graph, const std::string& dir,
     const GraphShardInfo written = internal::SerializeShardPage(view, page);
     SEPRIV_CHECK(written.fingerprint == s.fingerprint,
                  "shard fingerprint diverged during serialisation");
-    if (file->AppendPage(page.data()) == SIZE_MAX) return false;
+    size_t page_index = 0;
+    if (!file->TryAppendPage(page.data(), &page_index).ok()) return false;
   }
-  if (!file->Sync()) return false;
+  if (!file->TrySync().ok()) return false;
   return internal::SaveShardManifest(manifest, dir);
 }
 
@@ -403,14 +416,6 @@ std::unique_ptr<SsdGraphStore> SsdGraphStore::Open(const std::string& dir,
   budget_pages = std::max<size_t>(2, budget_pages);
   return std::unique_ptr<SsdGraphStore>(
       new SsdGraphStore(std::move(*manifest), std::move(file), budget_pages));
-}
-
-PinnedShard SsdGraphStore::Pin(size_t s) {
-  PinnedShard pin;
-  const Status status = TryPin(s, &pin);
-  SEPRIV_CHECK(status.ok(), "shard %zu in %s unreadable after retries: %s", s,
-               file_->path().c_str(), status.ToString().c_str());
-  return pin;
 }
 
 Status SsdGraphStore::TryPin(size_t s, PinnedShard* out) {

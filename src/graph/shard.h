@@ -131,19 +131,16 @@ class GraphStore {
 
   virtual const ShardManifest& manifest() const = 0;
 
-  /// Makes shard `s` resident (blocking on IO when disk-backed) and returns
-  /// a pinned view. Aborts on a corrupt shard — graph data cannot be
-  /// recomputed, unlike cache entries.
-  virtual PinnedShard Pin(size_t s) = 0;
+  /// Makes shard `s` resident (blocking on IO when disk-backed) and stores
+  /// a pinned view in `*out`. IO faults and corruption surface as a
+  /// structured error; disk-backed stores first retry transient faults and
+  /// checksum mismatches with bounded re-reads. `*out` is empty on error.
+  virtual Status TryPin(size_t s, PinnedShard* out) = 0;
 
-  /// Recoverable variant: surfaces IO/corruption as a structured error
-  /// instead of aborting. Disk-backed stores retry transient faults and
-  /// checksum mismatches with bounded re-reads before giving up. The default
-  /// wraps Pin, which never fails for in-memory stores.
-  virtual Status TryPin(size_t s, PinnedShard* out) {
-    *out = Pin(s);
-    return OkStatus();
-  }
+  /// TryPin that aborts on error, for callers whose own result has no error
+  /// channel (e.g. MaterializeGraph): graph data, unlike cache entries,
+  /// cannot be recomputed.
+  PinnedShard Pin(size_t s);
 
   /// Asynchronous residency hint; no-op for in-memory stores.
   virtual void Prefetch(size_t /*s*/) {}
@@ -169,13 +166,14 @@ ShardManifest BuildManifest(const Graph& graph, size_t num_shards);
 
 /// The 1..N-shard wrapper over an in-memory Graph. Views alias the graph's
 /// own arrays (plus a uint64 offsets mirror); the graph must outlive the
-/// store. Pin never blocks and Prefetch is a no-op.
+/// store. TryPin never blocks or fails for an in-range shard, and Prefetch
+/// is a no-op.
 class InMemoryGraphStore : public GraphStore {
  public:
   explicit InMemoryGraphStore(const Graph& graph, size_t num_shards = 1);
 
   const ShardManifest& manifest() const override { return manifest_; }
-  PinnedShard Pin(size_t s) override;
+  Status TryPin(size_t s, PinnedShard* out) override;
 
  private:
   const Graph& graph_;
@@ -206,9 +204,6 @@ class SsdGraphStore : public GraphStore {
                                              size_t budget_pages = 0);
 
   const ShardManifest& manifest() const override { return manifest_; }
-
-  /// Aborting wrapper over TryPin (the historical contract).
-  PinnedShard Pin(size_t s) override;
 
   /// Pin with graceful degradation: a transient read fault or a checksum /
   /// fingerprint mismatch on the pooled page triggers a bounded

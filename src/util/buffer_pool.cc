@@ -64,7 +64,7 @@ void BufferPool::FinishLoadLocked(size_t frame, bool ok) {
   f.failed = !ok;
   if (ok) f.load_id = ++load_counter_;
   if (!ok) {
-    // Leave no mapping to a garbage frame; the next Pin retries the read.
+    // Leave no mapping to a garbage frame; the next TryPin retries the read.
     page_to_frame_.erase(f.page);
     f.page = kNoPage;
   }
@@ -79,7 +79,7 @@ Status BufferPool::TryPin(size_t page, PageHandle* out) {
     if (it != page_to_frame_.end()) {
       Frame& f = frames_[it->second];
       if (f.loading) {
-        // A prefetch (or another Pin) is reading this page right now; wait
+        // A prefetch (or another TryPin) is reading this page right now; wait
         // for the read instead of issuing a duplicate one.
         frame_cv_.Wait(mu_);
         continue;  // re-resolve: the load may have failed
@@ -180,7 +180,7 @@ void BufferPool::PrefetchLoop() {
     }
     std::byte* dst = frames_[frame].buf.data();
     lock.Unlock();
-    const bool ok = file_.ReadPage(page, dst);
+    const bool ok = file_.TryReadPage(page, dst).ok();
     lock.Lock();
     FinishLoadLocked(frame, ok);
     if (ok) ++stats_.prefetch_loads;
@@ -192,7 +192,7 @@ void BufferPool::Unpin(size_t frame) {
   Frame& f = frames_[frame];
   SEPRIV_CHECK(f.pins > 0, "unpin of an unpinned frame");
   --f.pins;
-  // No notify needed for eviction (scans find the frame), but a Pin may be
+  // No notify needed for eviction (scans find the frame), but a TryPin may be
   // waiting for *any* frame to become evictable.
   if (f.pins == 0) frame_cv_.NotifyAll();
 }

@@ -2,21 +2,21 @@
 //
 // The pool owns `budget` page-sized frames — the hard memory ceiling of the
 // out-of-core layer; it NEVER allocates a frame beyond the budget. Pages are
-// pinned for reading (Pin blocks on a miss, reading from disk into an
+// pinned for reading (TryPin blocks on a miss, reading from disk into an
 // LRU-evicted frame) and released by dropping the returned handle. Unpinned
 // frames stay resident as a cache; eviction is least-recently-used among
 // unpinned frames only, so a pinned page can never be stolen mid-read.
 //
 // Prefetch(page) is a non-blocking hint serviced by one background thread:
-// it loads the page into a free/evictable frame so the next Pin is a cache
+// it loads the page into a free/evictable frame so the next TryPin is a cache
 // hit, hiding the SSD latency behind the caller's compute. Hints are
 // best-effort — dropped when the page is already resident, already queued,
-// or every frame is pinned — and never change what Pin returns, only how
+// or every frame is pinned — and never change what TryPin returns, only how
 // fast it returns. The sequential consumers (sharded proximity passes,
 // shard-sorted training epochs) pin shard s while prefetching s+1.
 //
 // Thread-safety: all public methods may be called concurrently; handles may
-// be dropped from any thread. One Pin of a page blocks other Pins of the
+// be dropped from any thread. One TryPin of a page blocks other pins of the
 // same page only for the duration of the disk read. The latch discipline is
 // machine-checked: mu_ is an annotated Mutex, every guarded field is
 // declared SEPRIV_GUARDED_BY(mu_), and clang's -Wthread-safety (a CI error)
@@ -44,8 +44,8 @@ namespace sepriv {
 
 /// Counters exposed for benches and tests. Snapshot semantics (one lock).
 struct BufferPoolStats {
-  uint64_t hits = 0;            // Pin found the page resident
-  uint64_t misses = 0;          // Pin had to read from disk
+  uint64_t hits = 0;            // TryPin found the page resident
+  uint64_t misses = 0;          // TryPin had to read from disk
   uint64_t evictions = 0;       // resident page displaced from its frame
   uint64_t prefetch_loads = 0;  // pages loaded by the background thread
   uint64_t prefetch_dropped = 0;  // hints skipped (resident/queued/no frame)
@@ -122,15 +122,7 @@ class BufferPool {
   /// a caller bug.
   Status TryPin(size_t page, PageHandle* out) SEPRIV_EXCLUDES(mu_);
 
-  /// Bool-era shim over TryPin: returns an invalid handle on read failure
-  /// (TryPin leaves `handle` invalid whenever it reports an error).
-  PageHandle Pin(size_t page) SEPRIV_EXCLUDES(mu_) {
-    PageHandle handle;
-    if (!TryPin(page, &handle).ok()) return PageHandle();
-    return handle;
-  }
-
-  /// Drops an unpinned resident copy of `page` so the next Pin re-reads it
+  /// Drops an unpinned resident copy of `page` so the next TryPin re-reads it
   /// from disk. This is the recovery primitive for checksum mismatches
   /// detected ABOVE the pool (the pool cannot know a page's checksum): the
   /// caller drops its handle, Discards the page, and pins again. Returns

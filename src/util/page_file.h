@@ -59,23 +59,6 @@ class PageFile {
   /// Fault-injection site: "page_file.sync".
   Status TrySync();
 
-  /// Bool-returning shims over the Try* primaries, for call sites whose
-  /// own signature is already boolean. They lose the error detail.
-  bool ReadPage(size_t index, void* out) const {
-    return TryReadPage(index, out).ok();
-  }
-  bool WritePage(size_t index, const void* data) {
-    return TryWritePage(index, data).ok();
-  }
-
-  /// Appends one page; returns its index, or SIZE_MAX on failure.
-  size_t AppendPage(const void* data) {
-    size_t index = 0;
-    return TryAppendPage(data, &index).ok() ? index : SIZE_MAX;
-  }
-
-  bool Sync() { return TrySync().ok(); }
-
  private:
   PageFile(int fd, std::string path, size_t page_size, size_t num_pages)
       : fd_(fd),

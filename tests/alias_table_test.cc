@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "util/rng.h"
@@ -48,6 +49,10 @@ struct WeightCase {
   const char* name;
   std::vector<double> weights;
 };
+
+// gtest would otherwise print the struct's raw bytes — pointer values that
+// change the CTest test names from run to run.
+void PrintTo(const WeightCase& c, std::ostream* os) { *os << c.name; }
 
 class AliasDistributionTest : public ::testing::TestWithParam<WeightCase> {};
 

@@ -31,7 +31,7 @@ struct Fixture {
     for (size_t e = 0; e < weights.size(); ++e) {
       weights[e] = 0.1 + 0.9 * rng.Uniform();
     }
-    batch = sampler.SampleBatch(40, rng);
+    batch = SampleBatchIndices(sampler.size(), 40, rng);
   }
 
   BatchGradientEngineOptions Options(size_t threads, bool clip) const {
@@ -189,7 +189,7 @@ TEST(BatchGradientEngineTest, ScratchReuseAcrossBatchesStaysCorrect) {
   for (int round = 0; round < 5; ++round) {
     const auto batch = [&] {
       Rng batch_rng(1000 + round);
-      return f.sampler.SampleBatch(24, batch_rng);
+      return SampleBatchIndices(f.sampler.size(), 24, batch_rng);
     }();
     const double la = a.AccumulateBatch(model_a, f.sampler.All(), batch);
     const double lb = b.AccumulateBatch(model_b, f.sampler.All(), batch);

@@ -30,10 +30,20 @@ class BufferPoolTest : public ::testing::Test {
     std::vector<std::byte> buf(kPage);
     for (size_t p = 0; p < pages; ++p) {
       std::memset(buf.data(), static_cast<int>(p + 1), kPage);
-      EXPECT_EQ(file->AppendPage(buf.data()), p);
+      size_t index = 0;
+      EXPECT_TRUE(file->TryAppendPage(buf.data(), &index).ok());
+      EXPECT_EQ(index, p);
     }
-    EXPECT_TRUE(file->Sync());
+    EXPECT_TRUE(file->TrySync().ok());
     return file;
+  }
+
+  /// Pins `page`, failing the test on a read error.
+  static BufferPool::PageHandle MustPin(BufferPool& pool, size_t page) {
+    BufferPool::PageHandle h;
+    const Status status = pool.TryPin(page, &h);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return h;
   }
 
   static bool PageIs(const BufferPool::PageHandle& h, size_t p) {
@@ -55,9 +65,10 @@ TEST_F(BufferPoolTest, PageFileRoundTripAndTruncationDetection) {
   ASSERT_NE(ro, nullptr);
   EXPECT_EQ(ro->num_pages(), 3u);
   std::vector<std::byte> buf(kPage);
-  ASSERT_TRUE(ro->ReadPage(1, buf.data()));
+  ASSERT_TRUE(ro->TryReadPage(1, buf.data()).ok());
   EXPECT_EQ(buf[0], std::byte{2});
-  EXPECT_FALSE(ro->ReadPage(3, buf.data()));  // out of range
+  EXPECT_EQ(ro->TryReadPage(3, buf.data()).code(),
+            StatusCode::kFailedPrecondition);  // out of range
 
   // A torn file (not a whole number of pages) must be rejected at Open.
   std::filesystem::resize_file(path, 2 * kPage + 17);
@@ -70,7 +81,7 @@ TEST_F(BufferPoolTest, PinReturnsCorrectBytesAndCountsHits) {
   BufferPool pool(*file, 2);
 
   for (size_t p = 0; p < 6; ++p) {
-    auto h = pool.Pin(p);
+    auto h = MustPin(pool, p);
     EXPECT_TRUE(PageIs(h, p)) << "page " << p;
   }
   const BufferPoolStats cold = pool.stats();
@@ -78,7 +89,7 @@ TEST_F(BufferPoolTest, PinReturnsCorrectBytesAndCountsHits) {
   EXPECT_EQ(cold.hits, 0u);
 
   // The last pinned page is still resident: a re-pin is a hit.
-  auto h = pool.Pin(5);
+  auto h = MustPin(pool, 5);
   EXPECT_TRUE(PageIs(h, 5));
   EXPECT_EQ(pool.stats().hits, 1u);
 }
@@ -90,14 +101,14 @@ TEST_F(BufferPoolTest, BudgetIsAHardCeilingWithLruEviction) {
   EXPECT_EQ(pool.budget_pages(), 2u);
 
   {
-    auto a = pool.Pin(0);
-    auto b = pool.Pin(1);
+    auto a = MustPin(pool, 0);
+    auto b = MustPin(pool, 1);
     // Both frames pinned: page 2 has nowhere to go, but dropping a pin
     // frees a frame.
     EXPECT_TRUE(PageIs(a, 0));
     EXPECT_TRUE(PageIs(b, 1));
   }
-  auto c = pool.Pin(2);  // evicts the LRU unpinned page
+  auto c = MustPin(pool, 2);  // evicts the LRU unpinned page
   EXPECT_TRUE(PageIs(c, 2));
   EXPECT_GE(pool.stats().evictions, 1u);
 }
@@ -109,16 +120,16 @@ TEST_F(BufferPoolTest, LoadIdChangesAcrossReloadOfSamePage) {
 
   uint64_t first_load;
   {
-    auto h = pool.Pin(0);
+    auto h = MustPin(pool, 0);
     ASSERT_TRUE(h.valid());
     first_load = h.load_id();
     EXPECT_NE(first_load, 0u);
     // Same residency => same load id.
-    auto h2 = pool.Pin(0);
+    auto h2 = MustPin(pool, 0);
     EXPECT_EQ(h2.load_id(), first_load);
   }
-  { auto other = pool.Pin(1); }  // evicts page 0
-  auto h3 = pool.Pin(0);         // re-read from disk
+  { auto other = MustPin(pool, 1); }  // evicts page 0
+  auto h3 = MustPin(pool, 0);         // re-read from disk
   EXPECT_NE(h3.load_id(), first_load);
 }
 
@@ -130,7 +141,7 @@ TEST_F(BufferPoolTest, PrefetchMakesNextPinAHit) {
   pool.Prefetch(3);
   // The background load is asynchronous; Pin must return the right bytes
   // whether it raced ahead or not.
-  auto h = pool.Pin(3);
+  auto h = MustPin(pool, 3);
   EXPECT_TRUE(PageIs(h, 3));
   const BufferPoolStats stats = pool.stats();
   EXPECT_EQ(stats.prefetch_loads + stats.misses + stats.hits >= 1, true);

@@ -50,10 +50,21 @@ class ConcurrencyStressTest : public ::testing::Test {
     std::vector<std::byte> buf(kPage);
     for (size_t p = 0; p < pages; ++p) {
       std::memset(buf.data(), static_cast<int>(p % 251), kPage);
-      EXPECT_EQ(file->AppendPage(buf.data()), p);
+      size_t index = 0;
+      EXPECT_TRUE(file->TryAppendPage(buf.data(), &index).ok());
+      EXPECT_EQ(index, p);
     }
-    EXPECT_TRUE(file->Sync());
+    EXPECT_TRUE(file->TrySync().ok());
     return file;
+  }
+
+  /// Pins `page`, failing the test on a read error (gtest assertions are
+  /// thread-safe, so worker threads may call this).
+  static BufferPool::PageHandle MustPin(BufferPool& pool, size_t page) {
+    BufferPool::PageHandle h;
+    const Status status = pool.TryPin(page, &h);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return h;
   }
 
   static bool PageIs(const BufferPool::PageHandle& h, size_t p) {
@@ -83,11 +94,11 @@ TEST_F(ConcurrencyStressTest, BufferPoolConcurrentPinPrefetchRelease) {
       for (size_t i = 0; i < kItersPerThread; ++i) {
         const size_t page = rng.UniformInt(kPages);
         pool.Prefetch(rng.UniformInt(kPages));  // hint some other page
-        BufferPool::PageHandle h = pool.Pin(page);
+        BufferPool::PageHandle h = MustPin(pool, page);
         if (!PageIs(h, page)) bad_pages.fetch_add(1);
         if ((i & 7) == 0) {
           // Hold two pins at once (budget 8 >= 2 * threads = 8 pins max).
-          BufferPool::PageHandle h2 = pool.Pin(rng.UniformInt(kPages));
+          BufferPool::PageHandle h2 = MustPin(pool, rng.UniformInt(kPages));
           if (!h2.valid()) bad_pages.fetch_add(1);
         }
       }
@@ -115,7 +126,7 @@ TEST_F(ConcurrencyStressTest, BufferPoolShutdownWithQueuedPrefetches) {
     BufferPool pool(*file, /*budget_pages=*/4);
     for (size_t p = 0; p < kPages; ++p) pool.Prefetch(p);
     if (round % 2 == 0) {
-      BufferPool::PageHandle h = pool.Pin(round % kPages);
+      BufferPool::PageHandle h = MustPin(pool, round % kPages);
       EXPECT_TRUE(PageIs(h, round % kPages));
     }
     // pool destroyed here with hints still queued
@@ -137,7 +148,7 @@ TEST_F(ConcurrencyStressTest, BufferPoolPinOfPageBeingPrefetched) {
       for (size_t i = 0; i < 300; ++i) {
         const size_t page = rng.UniformInt(kPages);
         pool.Prefetch(page);
-        BufferPool::PageHandle h = pool.Pin(page);
+        BufferPool::PageHandle h = MustPin(pool, page);
         if (!PageIs(h, page)) bad_pages.fetch_add(1);
       }
     });

@@ -3,8 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 namespace sepriv {
+
+// gtest would otherwise print DatasetSpec's raw bytes — a pointer value and
+// padding that change the CTest test names from run to run. Declared in
+// DatasetSpec's own namespace so argument-dependent lookup finds it.
+void PrintTo(const DatasetSpec& spec, std::ostream* os) { *os << spec.name; }
+
 namespace {
 
 TEST(DatasetsTest, AllSixListed) {

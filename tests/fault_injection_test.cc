@@ -2,7 +2,7 @@
 // through its failpoint and must degrade per contract — transient faults are
 // absorbed by bounded retries, torn bytes are caught by checksums and
 // re-read, persistent faults surface as structured errors (never garbage,
-// never a hang), and the historical aborting wrappers die loudly.
+// never a hang), and the few aborting helpers that remain die loudly.
 
 #include <gtest/gtest.h>
 
@@ -45,7 +45,7 @@ class FaultInjectionTest : public ::testing::Test {
     std::vector<char> buf(page_size);
     for (size_t p = 0; p < pages; ++p) {
       std::memset(buf.data(), static_cast<int>('a' + p % 26), buf.size());
-      if (!file->WritePage(p, buf.data())) return nullptr;
+      if (!file->TryWritePage(p, buf.data()).ok()) return nullptr;
     }
     return file;
   }
@@ -63,7 +63,6 @@ TEST_F(FaultInjectionTest, PageFileFaultMatrix) {
 
   ASSERT_TRUE(failpoint::SetSpec("page_file.read=err"));
   EXPECT_EQ(file->TryReadPage(0, buf.data()).code(), StatusCode::kIoError);
-  EXPECT_FALSE(file->ReadPage(0, buf.data()));
 
   ASSERT_TRUE(failpoint::SetSpec("page_file.write=enospc"));
   EXPECT_EQ(file->TryWritePage(0, buf.data()).code(), StatusCode::kNoSpace);
@@ -73,7 +72,6 @@ TEST_F(FaultInjectionTest, PageFileFaultMatrix) {
 
   ASSERT_TRUE(failpoint::SetSpec("page_file.sync=err"));
   EXPECT_EQ(file->TrySync().code(), StatusCode::kIoError);
-  EXPECT_FALSE(file->Sync());
 
   // A torn read "succeeds" at the PageFile layer with corrupted bytes — the
   // caller's checksum is the detection layer (exercised below via the
@@ -118,8 +116,9 @@ TEST_F(FaultInjectionTest, BufferPoolSurfacesPersistentReadFault) {
   // Exactly kMaxIoAttempts reads were spent before giving up.
   EXPECT_EQ(failpoint::HitCount("page_file.read"),
             BufferPool::kMaxIoAttempts);
-  // The bool-era shim degrades to an invalid handle, not an abort.
-  EXPECT_FALSE(pool.Pin(0).valid());
+  // A second pin of the still-faulty page fails the same way.
+  EXPECT_EQ(pool.TryPin(0, &handle).code(), StatusCode::kIoError);
+  EXPECT_FALSE(handle.valid());
 
   // The pool recovers the moment the fault clears: no poisoned frames.
   failpoint::ClearAll();
@@ -353,6 +352,39 @@ TEST_F(FaultInjectionTest, TryTrainOutOfCoreSurfacesPersistentFault) {
                                 ooc, &result)
                   .ok());
   EXPECT_EQ(result.epochs_run, 1u);
+}
+
+// A persistent read fault can hit any shard pin, including the negative
+// sampler's adjacency probes during Algorithm 1. Every seeded schedule must
+// end in a result or a structured IO error — never an abort.
+TEST_F(FaultInjectionTest, TryTrainOutOfCoreNeverAbortsUnderRandomReadFaults) {
+  const Graph g = BarabasiAlbert(400, 3, /*seed=*/21);
+  const std::string shard_dir = root_ + "/random_fault_shards";
+  ASSERT_TRUE(WriteGraphShards(g, shard_dir, 8));
+
+  SePrivGEmbConfig cfg;
+  cfg.dim = 8;
+  cfg.batch_size = 32;
+  cfg.max_epochs = 2;
+  cfg.negatives = 2;
+  cfg.seed = 21;
+  cfg.num_threads = 1;
+  cfg.proximity_cache_path = "-";
+  for (int seed = 1; seed <= 40; ++seed) {
+    auto store = SsdGraphStore::Open(shard_dir, /*budget_pages=*/2);
+    ASSERT_NE(store, nullptr);
+    OutOfCoreTrainOptions ooc;
+    ooc.work_dir = root_ + "/random_fault_work_" + std::to_string(seed);
+    ooc.sample_page_bytes = 4096;
+    ASSERT_TRUE(failpoint::SetSpec("page_file.read=err~0.4@" +
+                                   std::to_string(seed)));
+    TrainResult result;
+    const Status s = TryTrainOutOfCore(
+        *store, ProximityKind::kPreferentialAttachment, cfg, ooc, &result);
+    failpoint::ClearAll();
+    EXPECT_TRUE(s.ok() || s.code() == StatusCode::kIoError)
+        << "seed " << seed << ": " << s.ToString();
+  }
 }
 
 }  // namespace

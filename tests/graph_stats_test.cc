@@ -87,7 +87,7 @@ TEST(GraphStatsTest, DiameterOnCycle) {
 TEST(GraphStatsTest, StandInsMatchStructuralExpectations) {
   // The Power stand-in must look grid-like (high diameter, low clustering)
   // while Chameleon must look social (low diameter, high clustering) — the
-  // calibration criteria of DESIGN.md §3.
+  // calibration criteria of graph/datasets.cc.
   Graph power = WattsStrogatz(500, 1, 0.05, 167, 3);
   Graph social = PowerLawCluster(500, 14, 0.5, 3);
   EXPECT_GT(EstimateDiameter(power), 4 * EstimateDiameter(social));

@@ -96,7 +96,7 @@ TEST_F(SampleStoreTest, RoundTripIsBitExactAcrossPages) {
   // Visit shard by shard (the engine's access pattern) and compare every
   // field — the weight doubles must round-trip bit-exactly.
   for (uint32_t i = 0; i < n; ++i) {
-    store->PinShard(store->ShardOf(i));
+    ASSERT_TRUE(store->TryPinShard(store->ShardOf(i)).ok());
     const SampleView v = store->Get(i);
     EXPECT_EQ(v.center, subgraphs[i].center) << "sample " << i;
     EXPECT_EQ(v.context, subgraphs[i].context);
@@ -139,7 +139,7 @@ TEST_F(SampleStoreTest, ZeroNegativesStoreWorks) {
   ASSERT_NE(store, nullptr);
   EXPECT_EQ(store->negatives_per_sample(), 0u);
   for (uint32_t i = 0; i < n; ++i) {
-    store->PinShard(store->ShardOf(i));
+    ASSERT_TRUE(store->TryPinShard(store->ShardOf(i)).ok());
     const SampleView v = store->Get(i);
     EXPECT_TRUE(v.negatives.empty());
     EXPECT_EQ(v.center, subgraphs[i].center);
@@ -186,7 +186,7 @@ TEST_F(SampleStoreTest, TruncatedFileIsRejectedAtOpen) {
   EXPECT_EQ(SampleStore::Open(path, 2), nullptr);
 }
 
-TEST_F(SampleStoreTest, CorruptDataPageAbortsOnPin) {
+TEST_F(SampleStoreTest, CorruptDataPageFailsPinAsCorruption) {
   std::vector<Subgraph> subgraphs;
   std::vector<double> weights;
   MakeSamples(8, 20, 3, 7, subgraphs, weights);
@@ -196,9 +196,9 @@ TEST_F(SampleStoreTest, CorruptDataPageAbortsOnPin) {
   CorruptByte(path, 2 * kTinyPage + 20);
   auto store = SampleStore::Open(path, 2);
   ASSERT_NE(store, nullptr);
-  store->PinShard(0);  // intact shards stay readable
+  ASSERT_TRUE(store->TryPinShard(0).ok());  // intact shards stay readable
   EXPECT_EQ(store->Get(0).center, subgraphs[0].center);
-  EXPECT_DEATH(store->PinShard(1), "");
+  EXPECT_EQ(store->TryPinShard(1).code(), StatusCode::kCorruption);
 }
 
 // The load-bearing property: driving the batch-gradient engine from a
@@ -235,8 +235,10 @@ TEST_F(SampleStoreTest, EngineResultMatchesInMemorySourceBitExactly) {
 
     BatchGradientEngine engine_a(opts, {});
     BatchGradientEngine engine_b(opts, {});
-    const double loss_a = engine_a.AccumulateBatch(model_a, mem, batch);
-    const double loss_b = engine_b.AccumulateBatch(model_b, *disk, batch);
+    double loss_a = 0.0, loss_b = 0.0;
+    ASSERT_TRUE(engine_a.TryAccumulateBatch(model_a, mem, batch, &loss_a).ok());
+    ASSERT_TRUE(
+        engine_b.TryAccumulateBatch(model_b, *disk, batch, &loss_b).ok());
     EXPECT_EQ(std::bit_cast<uint64_t>(loss_a), std::bit_cast<uint64_t>(loss_b))
         << threads << " threads";
 

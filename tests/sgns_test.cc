@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "graph/generators.h"
@@ -112,6 +113,10 @@ struct GradCheckCase {
   int negatives;
   double w_pos, w_neg;
 };
+
+// gtest would otherwise print the struct's raw bytes — pointer values that
+// change the CTest test names from run to run.
+void PrintTo(const GradCheckCase& c, std::ostream* os) { *os << c.name; }
 
 class SgnsGradCheckTest : public ::testing::TestWithParam<GradCheckCase> {};
 

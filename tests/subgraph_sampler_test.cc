@@ -77,7 +77,7 @@ TEST(SubgraphSamplerTest, BatchWithoutReplacement) {
   SubgraphSampler sampler(g, 2, 8);
   Rng rng(9);
   for (int trial = 0; trial < 50; ++trial) {
-    const auto batch = sampler.SampleBatch(30, rng);
+    const auto batch = SampleBatchIndices(sampler.size(), 30, rng);
     ASSERT_EQ(batch.size(), 30u);
     std::set<uint32_t> unique(batch.begin(), batch.end());
     EXPECT_EQ(unique.size(), batch.size());
@@ -89,7 +89,7 @@ TEST(SubgraphSamplerTest, BatchLargerThanPopulationClamped) {
   Graph g = PathGraph(5);  // 4 edges
   SubgraphSampler sampler(g, 1, 10);
   Rng rng(1);
-  const auto batch = sampler.SampleBatch(100, rng);
+  const auto batch = SampleBatchIndices(sampler.size(), 100, rng);
   EXPECT_EQ(batch.size(), 4u);
   std::set<uint32_t> unique(batch.begin(), batch.end());
   EXPECT_EQ(unique.size(), 4u);
@@ -102,7 +102,9 @@ TEST(SubgraphSamplerTest, BatchSamplingApproximatelyUniform) {
   std::vector<int> hits(40, 0);
   const int trials = 4000;
   for (int t = 0; t < trials; ++t) {
-    for (uint32_t idx : sampler.SampleBatch(4, rng)) ++hits[idx];
+    for (uint32_t idx : SampleBatchIndices(sampler.size(), 4, rng)) {
+      ++hits[idx];
+    }
   }
   // Each index expected trials·4/40 = 400 times.
   for (int h : hits) EXPECT_NEAR(h, 400, 100);
@@ -183,7 +185,7 @@ TEST(SubgraphSamplerTest, FallbackScanFindsValidNegativeOnNearCompleteGraph) {
 }
 
 TEST(SubgraphSamplerTest, BatchMatchesReferenceFloydForFixedSeed) {
-  // SampleBatch replaced an O(m²) std::find membership probe with a hash
+  // SampleBatchIndices replaced an O(m²) std::find membership probe with a hash
   // set; the sequence of picks must be unchanged. Reference: the original
   // Floyd loop with linear membership scans.
   Graph g = ErdosRenyiGnm(300, 900, 5);
@@ -191,7 +193,8 @@ TEST(SubgraphSamplerTest, BatchMatchesReferenceFloydForFixedSeed) {
   for (uint64_t seed : {1ULL, 42ULL, 99ULL}) {
     for (size_t batch_size : {1UL, 7UL, 128UL, 900UL}) {
       Rng rng_new(seed), rng_ref(seed);
-      const auto batch = sampler.SampleBatch(batch_size, rng_new);
+      const auto batch =
+          SampleBatchIndices(sampler.size(), batch_size, rng_new);
 
       const size_t n = sampler.size();
       const size_t m = std::min(batch_size, n);
