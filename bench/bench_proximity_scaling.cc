@@ -15,6 +15,10 @@
 // pays), and the cold/warm ratio. The warm path is what repeated trainer
 // runs and the bench/ sweep family hit.
 //
+// The "proximity/digests_identical" record (value 1 or 0) gates both tables:
+// per preference, every thread count and both the cold and the warm cache
+// run must reproduce the 1-thread digest.
+//
 // High-order options are reduced (Katz L=2, PPR 3 iterations) so the bench
 // finishes in minutes at 100k nodes: per-source cost, not series depth, is
 // what the engine parallelises, so speedups transfer to deeper settings.
@@ -104,6 +108,8 @@ int main(int argc, char** argv) {
   json.AddMeta("edges", std::to_string(graph.num_edges()));
 
   std::vector<double> cold_times(kinds.size(), 0.0);
+  std::vector<uint64_t> t1_digests(kinds.size(), 0);
+  bool digests_match = true;
   for (size_t k = 0; k < kinds.size(); ++k) {
     const auto provider = MakeProximity(kinds[k], graph, opts);
     double base_time = 0.0;
@@ -115,6 +121,8 @@ int main(int argc, char** argv) {
       if (threads == 1) base_time = secs;
       if (threads == 4) cold_times[k] = secs;
       const uint64_t digest = ProximityDigest(ep);
+      if (threads == 1) t1_digests[k] = digest;
+      digests_match = digests_match && digest == t1_digests[k];
       std::printf("%-18s %-8zu %12.3f %14.0f %9.2fx %18" PRIx64 "\n",
                   ProximityKindName(kinds[k]).c_str(), threads, secs,
                   static_cast<double>(graph.num_edges()) / secs,
@@ -152,6 +160,8 @@ int main(int argc, char** argv) {
         CachedEdgeProximities(graph, *provider, opts, threads, cache_dir);
     const double warm_s = warm_timer.ElapsedSeconds();
     const bool identical = ProximityDigest(cold) == ProximityDigest(warm);
+    digests_match = digests_match && identical &&
+                    ProximityDigest(cold) == t1_digests[k];
     std::printf("%-18s %12.3f %12.4f %9.1fx %18" PRIx64 "%s\n",
                 ProximityKindName(kinds[k]).c_str(), cold_s, warm_s,
                 cold_s / warm_s, ProximityDigest(warm),
@@ -164,6 +174,10 @@ int main(int argc, char** argv) {
   }
   std::printf("# warm runs load the validated shard cache file; cold = "
               "parallel compute + save\n");
+  std::printf("# digests %s across thread counts and cold/warm cache\n",
+              digests_match ? "identical" : "DIVERGED (BUG)");
+  json.AddRecord("proximity/digests_identical",
+                 {{"value", digests_match ? 1.0 : 0.0}});
   std::filesystem::remove_all(cache_dir, ec);
   if (const char* path = bench::JsonPathFromArgs(argc, argv)) {
     // sepriv-privflow: allow(leak): public-by-policy: publishes the aggregate-metric records collected above

@@ -143,8 +143,11 @@ class ProximityFinalizer {
 EdgeProximity FinalizeEdgeProximities(const std::vector<double>& forward,
                                       const std::vector<double>& backward);
 
-/// Factory. Aborts on unsupported combinations (e.g. exact high-order
-/// providers on graphs beyond their documented size limits).
+/// Factory. Aborts on an unknown kind and on invalid options
+/// (katz_max_length < 1, katz_beta <= 0, ppr_alpha outside (0,1),
+/// ppr_iterations < 1, dw_window < 1, dw_walks_per_node < 1). The graph's
+/// size is not checked: the per-source cost of each high-order provider is
+/// documented in walk_proximity.h.
 std::unique_ptr<ProximityProvider> MakeProximity(
     ProximityKind kind, const Graph& graph, const ProximityOptions& opts = {});
 

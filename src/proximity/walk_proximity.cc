@@ -2,10 +2,42 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 
 #include "util/check.h"
 
+// This file must stay compiled without -mfma (see src/CMakeLists.txt: only
+// the simd TUs get ISA flags): a contracted `partial + β^L · c` rounds once
+// instead of twice, and Katz would no longer match the dense series bit for
+// bit.
+
 namespace sepriv {
+namespace {
+
+/// Zeroes `v` at the indices in `nz` (all of `v` when that is most of it)
+/// and empties `nz`.
+void ZeroSparse(std::vector<double>& v, std::vector<NodeId>& nz) {
+  if (nz.size() > v.size() / 4) {
+    std::fill(v.begin(), v.end(), 0.0);
+  } else {
+    for (NodeId j : nz) v[j] = 0.0;
+  }
+  nz.clear();
+}
+
+/// `x` printed with `decimals` fixed decimals when that text parses back to
+/// exactly `x` (the short, stable form existing names and cache keys use),
+/// otherwise with %.17g, which always round-trips. Name() keys the
+/// persistent cache, so two distinct parameter values may never print alike.
+std::string ParamText(double x, int decimals) {
+  char buf[512];  // %f of the largest double needs 309 integer digits
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, x);
+  if (std::strtod(buf, nullptr) == x) return buf;
+  std::snprintf(buf, sizeof(buf), "%.17g", x);
+  return buf;
+}
+
+}  // namespace
 
 RowCachedProximity::RowCachedProximity(const Graph& graph)
     : graph_(graph), row_(graph.num_nodes(), 0.0) {
@@ -17,7 +49,7 @@ double RowCachedProximity::At(NodeId i, NodeId j) const {
                "node out of range: (%u,%u) vs |V|=%zu", i, j,
                graph_.num_nodes());
   if (!has_cache_ || cached_source_ != i) {
-    ClearRow();
+    ZeroSparse(row_, touched_);
     ComputeRow(i);
     cached_source_ = i;
     has_cache_ = true;
@@ -25,14 +57,32 @@ double RowCachedProximity::At(NodeId i, NodeId j) const {
   return row_[j];
 }
 
-void RowCachedProximity::ClearRow() const {
-  // Sparse clear: only reset what the previous row touched.
-  if (touched_.size() > row_.size() / 4) {
-    std::fill(row_.begin(), row_.end(), 0.0);
-  } else {
-    for (NodeId j : touched_) row_[j] = 0.0;
+void RowCachedProximity::StartPush(NodeId source) const {
+  if (frontier_.empty()) {
+    frontier_.assign(graph_.num_nodes(), 0.0);
+    next_.assign(graph_.num_nodes(), 0.0);
   }
-  touched_.clear();
+  ZeroSparse(frontier_, frontier_nz_);
+  frontier_[source] = 1.0;
+  frontier_nz_.push_back(source);
+}
+
+template <typename PushMass>
+void RowCachedProximity::PushHop(const PushMass& mass) const {
+  for (NodeId k : frontier_nz_) {
+    const size_t deg = graph_.Degree(k);
+    if (deg != 0) {
+      const double push = mass(frontier_[k], deg);
+      for (NodeId u : graph_.Neighbors(k)) {
+        if (next_[u] == 0.0) next_nz_.push_back(u);
+        next_[u] += push;
+      }
+    }
+    frontier_[k] = 0.0;
+  }
+  frontier_.swap(next_);
+  frontier_nz_.swap(next_nz_);
+  next_nz_.clear();
 }
 
 // --- Katz -------------------------------------------------------------------
@@ -41,40 +91,34 @@ KatzProximity::KatzProximity(const Graph& graph, int max_length, double beta)
     : RowCachedProximity(graph), max_length_(max_length), beta_(beta) {
   SEPRIV_CHECK(max_length_ >= 1, "Katz needs max_length >= 1");
   SEPRIV_CHECK(beta_ > 0.0, "Katz needs beta > 0");
+  beta_pow_max_ = 1.0;
+  for (int l = 1; l <= max_length_; ++l) beta_pow_max_ *= beta_;
 }
 
 std::string KatzProximity::Name() const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "katz(L=%d,beta=%.3f)", max_length_, beta_);
-  return buf;
+  return "katz(L=" + std::to_string(max_length_) +
+         ",beta=" + ParamText(beta_, 3) + ")";
 }
 
 void KatzProximity::ComputeRow(NodeId source) const {
-  const size_t n = graph_.num_nodes();
-  // cur holds (A^l)_source as a sparse vector over a dense scratch.
-  std::vector<double> cur(n, 0.0), next(n, 0.0);
-  std::vector<NodeId> cur_nz, next_nz;
-  cur[source] = 1.0;
-  cur_nz.push_back(source);
+  // row_ ← Σ_{l<L} β^l (A^l)_source·, frontier_ ← (A^{L−1})_source·.
+  StartPush(source);
   double beta_pow = 1.0;
-  for (int l = 1; l <= max_length_; ++l) {
+  for (int l = 1; l < max_length_; ++l) {
     beta_pow *= beta_;
-    for (NodeId k : cur_nz) {
-      const double mass = cur[k];
-      for (NodeId u : graph_.Neighbors(k)) {
-        if (next[u] == 0.0) next_nz.push_back(u);
-        next[u] += mass;
-      }
-      cur[k] = 0.0;
-    }
-    for (NodeId u : next_nz) {
+    PushHop([](double count, size_t) { return count; });
+    for (NodeId u : frontier_nz_) {
       if (row_[u] == 0.0) Touch(u);
-      row_[u] += beta_pow * next[u];
+      row_[u] += beta_pow * frontier_[u];
     }
-    cur_nz.swap(next_nz);
-    cur.swap(next);
-    next_nz.clear();
   }
+}
+
+double KatzProximity::At(NodeId i, NodeId j) const {
+  const double partial = RowCachedProximity::At(i, j);
+  double last_hop = 0.0;  // (A^L)_ij, an exact integer
+  for (NodeId k : graph_.Neighbors(j)) last_hop += frontier_[k];
+  return partial + beta_pow_max_ * last_hop;
 }
 
 // --- Personalized PageRank ---------------------------------------------------
@@ -88,41 +132,22 @@ PersonalizedPageRankProximity::PersonalizedPageRankProximity(const Graph& graph,
 }
 
 std::string PersonalizedPageRankProximity::Name() const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "ppr(alpha=%.2f,iters=%d)", alpha_,
-                iterations_);
-  return buf;
+  return "ppr(alpha=" + ParamText(alpha_, 2) +
+         ",iters=" + std::to_string(iterations_) + ")";
 }
 
 void PersonalizedPageRankProximity::ComputeRow(NodeId source) const {
-  const size_t n = graph_.num_nodes();
-  std::vector<double> r(n, 0.0), next(n, 0.0);
-  std::vector<NodeId> r_nz, next_nz;
-  r[source] = 1.0;
-  r_nz.push_back(source);
+  StartPush(source);
   for (int it = 0; it < iterations_; ++it) {
-    for (NodeId k : r_nz) {
-      const size_t deg = graph_.Degree(k);
-      if (deg == 0) {
-        r[k] = 0.0;
-        continue;
-      }
-      const double push = (1.0 - alpha_) * r[k] / static_cast<double>(deg);
-      for (NodeId u : graph_.Neighbors(k)) {
-        if (next[u] == 0.0) next_nz.push_back(u);
-        next[u] += push;
-      }
-      r[k] = 0.0;
-    }
-    if (next[source] == 0.0) next_nz.push_back(source);
-    next[source] += alpha_;
-    r.swap(next);
-    r_nz.swap(next_nz);
-    next_nz.clear();
+    PushHop([this](double r, size_t deg) {
+      return (1.0 - alpha_) * r / static_cast<double>(deg);
+    });
+    if (frontier_[source] == 0.0) frontier_nz_.push_back(source);
+    frontier_[source] += alpha_;
   }
-  for (NodeId u : r_nz) {
-    if (r[u] != 0.0) {
-      row_[u] = r[u];
+  for (NodeId u : frontier_nz_) {
+    if (frontier_[u] != 0.0) {
+      row_[u] = frontier_[u];
       Touch(u);
     }
   }
@@ -142,33 +167,14 @@ std::string DeepWalkProximity::Name() const {
 }
 
 void DeepWalkProximity::ComputeRow(NodeId source) const {
-  const size_t n = graph_.num_nodes();
-  std::vector<double> cur(n, 0.0), next(n, 0.0);
-  std::vector<NodeId> cur_nz, next_nz;
-  cur[source] = 1.0;
-  cur_nz.push_back(source);
+  StartPush(source);
   const double inv_t = 1.0 / static_cast<double>(window_);
   for (int w = 1; w <= window_; ++w) {
-    for (NodeId k : cur_nz) {
-      const size_t deg = graph_.Degree(k);
-      if (deg == 0) {
-        cur[k] = 0.0;
-        continue;
-      }
-      const double push = cur[k] / static_cast<double>(deg);
-      for (NodeId u : graph_.Neighbors(k)) {
-        if (next[u] == 0.0) next_nz.push_back(u);
-        next[u] += push;
-      }
-      cur[k] = 0.0;
-    }
-    for (NodeId u : next_nz) {
+    PushHop([](double p, size_t deg) { return p / static_cast<double>(deg); });
+    for (NodeId u : frontier_nz_) {
       if (row_[u] == 0.0) Touch(u);
-      row_[u] += inv_t * next[u];
+      row_[u] += inv_t * frontier_[u];
     }
-    cur.swap(next);
-    cur_nz.swap(next_nz);
-    next_nz.clear();
   }
 }
 

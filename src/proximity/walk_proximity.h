@@ -1,10 +1,21 @@
 // High-order proximity providers: Katz, personalized PageRank, and the
 // DeepWalk walk-matrix proximity (exact and Monte-Carlo sampled).
 //
-// All three are "row oracles": the full dense proximity row of a source node
-// is computed with sparse push operations over the CSR graph and cached, so
-// querying pairs grouped by source (the edge-list order used by
-// ComputeEdgeProximities) costs one row computation per distinct source.
+// All four are row oracles over the CSR graph: the first At(i, ·) for a new
+// source i runs a sparse push (or walk sample) from i into provider-owned
+// scratch, and every further query for the same source is answered from that
+// state, so querying pairs grouped by source (the edge-list order of the
+// proximity engine) costs one push per distinct source. The push scratch is
+// sized |V| once per provider (clone) and reset sparsely, so a row costs
+// what it touches, not O(|V|).
+//
+// Cost per distinct source, where pushing h hops costs Σ_{l<h} Σ_{k∈F_l} deg k
+// and F_l is the set of nodes with a nonzero l-hop value:
+//   Katz             push L−1 hops, plus Σ deg j over the queried targets j
+//                    (the last hop is pulled per target, see KatzProximity);
+//   PPR              push `iterations` hops, whole row materialised;
+//   DeepWalk         push T hops, whole row materialised;
+//   sampled DeepWalk R·T walk steps.
 
 #ifndef SEPRIVGEMB_PROXIMITY_WALK_PROXIMITY_H_
 #define SEPRIVGEMB_PROXIMITY_WALK_PROXIMITY_H_
@@ -32,22 +43,48 @@ class RowCachedProximity : public ProximityProvider {
 
   void Touch(NodeId j) const { touched_.push_back(j); }
 
+  /// Resets the push scratch to the unit vector at `source`: afterwards
+  /// frontier_ = e_source and next_ is all zero.
+  void StartPush(NodeId source) const;
+
+  /// One push hop: frontier_ ← Σ_k mass(frontier_[k], deg k) · e_{N(k)} over
+  /// the nonzero k with deg k > 0, in frontier_nz_ order. next_ is all zero
+  /// again afterwards. Defined in walk_proximity.cc, beside its callers.
+  template <typename PushMass>
+  void PushHop(const PushMass& mass) const;
+
   const Graph& graph_;
   mutable std::vector<double> row_;
 
- private:
-  void ClearRow() const;
+  /// The current hop's mass vector (sized |V| by the first StartPush),
+  /// nonzero only at frontier_nz_.
+  mutable std::vector<double> frontier_;
+  mutable std::vector<NodeId> frontier_nz_;
 
+ private:
+  mutable std::vector<double> next_;  // the hop PushHop is building
+  mutable std::vector<NodeId> next_nz_;
   mutable std::vector<NodeId> touched_;
   mutable NodeId cached_source_ = 0;
   mutable bool has_cache_ = false;
 };
 
 /// Truncated Katz index: Σ_{l=1..L} β^l (A^l)_ij  [20].
+///
+/// Edge-targeted: a source i pushes walk counts only L−1 hops, keeping the
+/// partial sum Σ_{l<L} β^l (A^l)_i· in row_ and the (L−1)-hop counts in
+/// frontier_. At(i, j) pulls the last hop for the queried j alone:
+///   At(i, j) = Σ_{l<L} β^l (A^l)_ij + β^L Σ_{k∈N(j)} (A^{L−1})_ik.
+/// The identity holds for every pair, edges or not. The walk counts are
+/// integers, exact in a double below 2^53, so the pull's summation order
+/// cannot change a bit, and the per-hop accumulation keeps the dense
+/// series' order: At() equals Σ_l β^l (A^l)_ij summed hop by hop, bit for
+/// bit.
 class KatzProximity : public RowCachedProximity {
  public:
   KatzProximity(const Graph& graph, int max_length, double beta);
   std::string Name() const override;
+  double At(NodeId i, NodeId j) const override;
   std::unique_ptr<ProximityProvider> Clone() const override {
     return std::make_unique<KatzProximity>(graph_, max_length_, beta_);
   }
@@ -58,6 +95,7 @@ class KatzProximity : public RowCachedProximity {
  private:
   int max_length_;
   double beta_;
+  double beta_pow_max_;  // β^L, by the same repeated product as the series
 };
 
 /// Personalized PageRank from the source node, `iterations` power steps with
