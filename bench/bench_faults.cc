@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
 
   // --- Part 1: training throughput under injected page-read fault rates ---
 
-  std::printf("%-20s %10s %10s %12s %10s %10s\n", "config", "time_s",
-              "vs_clean", "read_retries", "discards", "identical");
+  std::printf("%-20s %10s %10s %12s %10s\n", "config", "time_s",
+              "vs_clean", "read_retries", "identical");
 
   const double rates[] = {0.0, 0.01, 0.05};
   uint64_t clean_in = 0, clean_out = 0;
@@ -145,9 +145,8 @@ int main(int argc, char** argv) {
 
     char name[48];
     std::snprintf(name, sizeof(name), "train/fault_rate_%g", rate);
-    std::printf("%-20s %10.2f %9.2fx %12" PRIu64 " %10" PRIu64 " %10s\n",
-                name, secs, secs > 0 ? clean_s / secs : 0.0,
-                stats.read_retries, stats.discards,
+    std::printf("%-20s %10.2f %9.2fx %12" PRIu64 " %10s\n", name, secs,
+                secs > 0 ? clean_s / secs : 0.0, stats.read_retries,
                 completed ? (identical ? "yes" : "NO") : "(error)");
     // sepriv-privflow: allow(leak): public-by-policy: record carries config echoes and aggregate metrics of a synthetic graph
     json.AddRecord(
@@ -156,7 +155,6 @@ int main(int argc, char** argv) {
          {"completed", completed ? 1.0 : 0.0},
          {"identical", identical ? 1.0 : 0.0},
          {"read_retries", static_cast<double>(stats.read_retries)},
-         {"discards", static_cast<double>(stats.discards)},
          {"pool_misses", static_cast<double>(stats.misses)}});
   }
 

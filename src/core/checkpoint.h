@@ -24,11 +24,12 @@
 // the graph: keep them in the training trust domain, never ship them as
 // results. The privflow annotations below encode exactly this.
 //
-// Durability: SaveCheckpoint goes through util/atomic_file.h
-// (write-temp + fsync file + rename + fsync directory), so a crash at any
-// instant leaves either the previous checkpoint or the new one — never a
-// torn file. Loaders verify magic, version, geometry, and a whole-file
-// checksum, and report kCorruption rather than trusting a damaged blob.
+// Durability: a checkpoint is a checksummed record file
+// (util/record_file.h), published by write-temp + fsync file + rename +
+// fsync directory, so a crash at any instant leaves either the previous
+// checkpoint or the new one — never a torn file. Loaders verify the
+// whole-file checksum, magic, version and geometry, and report kCorruption
+// rather than trusting a damaged blob.
 
 #ifndef SEPRIVGEMB_CORE_CHECKPOINT_H_
 #define SEPRIVGEMB_CORE_CHECKPOINT_H_

@@ -175,12 +175,16 @@ SampleStore::SampleStore(std::unique_ptr<PageFile> file, size_t budget_pages,
       k_(k),
       record_bytes_(record_bytes),
       samples_per_page_(samples_per_page),
-      num_data_pages_(num_data_pages),
-      verified_load_(num_data_pages, 0) {
+      num_data_pages_(num_data_pages) {
   if (budget_pages == 0) budget_pages = BufferPool::BudgetFromEnv(4);
-  // >= 2: the pinned page plus room for the prefetched next one.
-  pool_ = std::make_unique<BufferPool>(*file_,
-                                       std::max<size_t>(2, budget_pages));
+  // >= 2: the pinned page plus room for the prefetched next one. The pool
+  // checks each data page's checksum once per disk read.
+  pool_ = std::make_unique<BufferPool>(
+      *file_, std::max<size_t>(2, budget_pages),
+      [](size_t, std::span<const std::byte> page) {
+        return LoadWord(page.data()) ==
+               PageChecksum(page.data(), page.size());
+      });
 }
 
 std::unique_ptr<SampleStore> SampleStore::Open(const std::string& path,
@@ -228,27 +232,11 @@ Status SampleStore::TryPinShard(size_t s) {
   if (s == pinned_shard_ && pinned_.valid()) return OkStatus();
   pinned_ = BufferPool::PageHandle();  // release before pinning: frees a frame
   pinned_shard_ = SIZE_MAX;
-  // Same recovery discipline as SsdGraphStore::TryPin: a checksum mismatch
-  // on the pooled bytes gets a bounded number of drop-and-re-read attempts
-  // before it is reported as real on-disk corruption.
-  Status last_error;
-  for (size_t attempt = 1; attempt <= BufferPool::kMaxIoAttempts; ++attempt) {
-    BufferPool::PageHandle h;
-    SEPRIV_RETURN_IF_ERROR(pool_->TryPin(1 + s, &h));
-    if (verified_load_[s] == h.load_id() ||
-        LoadWord(h.data()) == PageChecksum(h.data(), file_->page_size())) {
-      verified_load_[s] = h.load_id();
-      pinned_ = std::move(h);
-      pinned_shard_ = s;
-      return OkStatus();
-    }
-    last_error = CorruptionError("sample store page " + std::to_string(1 + s) +
-                                 " in " + file_->path() +
-                                 " failed its checksum");
-    h = BufferPool::PageHandle();
-    pool_->Discard(1 + s);
-  }
-  return last_error;
+  // A checksum mismatch is re-read inside the pool, like a transient fault;
+  // what still fails after its bounded attempts is real on-disk damage.
+  SEPRIV_RETURN_IF_ERROR(pool_->TryPin(1 + s, &pinned_));
+  pinned_shard_ = s;
+  return OkStatus();
 }
 
 void SampleStore::PrefetchShard(size_t s) {

@@ -18,9 +18,9 @@
 //   record        — u32 center, u32 context, u32 edge_index, u32 k,
 //                   f64 weight, k × u32 negatives, zero-padded to 8 bytes.
 //
-// Every data page is checksum-verified once per disk read (keyed by the
-// pool's load_id, the same discipline as SsdGraphStore), so repeated pins of
-// a resident page cost nothing.
+// Every data page is checksum-verified once per disk read — the checksum is
+// the BufferPool's page check, as for SsdGraphStore — so repeated pins of a
+// resident page cost nothing.
 
 #ifndef SEPRIVGEMB_EMBEDDING_SAMPLE_STORE_H_
 #define SEPRIVGEMB_EMBEDDING_SAMPLE_STORE_H_
@@ -110,9 +110,9 @@ class SampleStore final : public SampleSource {
   size_t ShardOf(uint32_t idx) const override {
     return idx / samples_per_page_;
   }
-  /// A transient read fault or page-checksum mismatch is retried with
-  /// bounded drop-and-re-read (BufferPool::Discard) before the error
-  /// surfaces. Leaves no shard pinned on failure.
+  /// A transient read fault or page-checksum mismatch is absorbed by the
+  /// pool's bounded re-read before the error surfaces. Leaves no shard
+  /// pinned on failure.
   Status TryPinShard(size_t s) override;
 
   void PrefetchShard(size_t s) override;
@@ -136,9 +136,6 @@ class SampleStore final : public SampleSource {
 
   BufferPool::PageHandle pinned_;
   size_t pinned_shard_ = SIZE_MAX;
-  /// load_id of the last checksum-verified read of each data page; a pin
-  /// whose load_id matches skips re-verification (same bytes, proven).
-  std::vector<uint64_t> verified_load_;
 };
 
 }  // namespace sepriv

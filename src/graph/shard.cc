@@ -6,9 +6,9 @@
 
 #include <sys/stat.h>
 
-#include "util/atomic_file.h"
 #include "util/check.h"
 #include "util/digest.h"
+#include "util/record_file.h"
 #include "util/rng.h"
 
 namespace sepriv {
@@ -40,6 +40,18 @@ void StoreWord(std::byte* p, uint64_t w) { std::memcpy(p, &w, sizeof(w)); }
 uint64_t PageChecksum(std::span<const std::byte> page, size_t payload) {
   uint64_t h = FnvDigest(page.data(), kChecksumOffset);
   return FnvDigest(page.data() + kHeaderBytes, payload - kHeaderBytes, h);
+}
+
+/// The store's page check: the page parses with a valid checksum and is the
+/// shard the manifest describes (fingerprint and ranges).
+bool ShardPageMatches(const GraphShardInfo& info,
+                      std::span<const std::byte> page) {
+  const auto view = internal::ParseShardPage(page);
+  return view.has_value() && ShardFingerprint(*view) == info.fingerprint &&
+         view->node_begin == info.node_begin &&
+         view->node_end == info.node_end &&
+         view->edge_begin == info.edge_begin &&
+         view->edge_count == info.edge_count;
 }
 
 /// Canonical-edge count of a shard: neighbours above the diagonal.
@@ -293,70 +305,40 @@ std::optional<ShardView> ParseShardPage(std::span<const std::byte> page,
 }
 
 bool SaveShardManifest(const ShardManifest& manifest, const std::string& dir) {
-  std::vector<uint64_t> words;
-  words.reserve(7 + manifest.shards.size() * 7 + 1);
-  words.push_back(kManifestMagic);
-  words.push_back(kFormatVersion);
-  words.push_back(manifest.num_nodes);
-  words.push_back(manifest.num_edges);
-  words.push_back(manifest.page_size);
-  words.push_back(manifest.graph_fingerprint);
-  words.push_back(manifest.num_shards());
-  for (const GraphShardInfo& s : manifest.shards) {
-    words.push_back(s.node_begin);
-    words.push_back(s.node_end);
-    words.push_back(s.adj_begin);
-    words.push_back(s.adj_count);
-    words.push_back(s.edge_begin);
-    words.push_back(s.edge_count);
-    words.push_back(s.fingerprint);
-  }
-  words.push_back(FnvDigest(words.data(), words.size() * sizeof(uint64_t)));
-
-  // Atomic + durable publish (write-temp, fsync file, rename, fsync dir):
-  // the bare tmp+rename this used to do could publish an empty manifest
-  // after a crash, because nothing forced the data out before the rename.
+  // Layout after the record frame's magic and version: four graph words,
+  // the shard count, then seven words per shard.
+  RecordWriter w(kManifestMagic, kFormatVersion,
+                 (5 + manifest.shards.size() * 7) * sizeof(uint64_t));
+  w.Put(manifest.num_nodes);
+  w.Put(manifest.num_edges);
+  w.Put(manifest.page_size);
+  w.Put(manifest.graph_fingerprint);
+  w.Put(static_cast<uint64_t>(manifest.num_shards()));
+  static_assert(sizeof(GraphShardInfo) == 7 * sizeof(uint64_t),
+                "shard entries are stored as seven unpadded words");
+  for (const GraphShardInfo& s : manifest.shards) w.Put(s);
   // Fault-injection sites: shard_manifest.{write,sync,rename}.
-  const std::string path = dir + kManifestName;
-  return WriteFileAtomic(path, words.data(), words.size() * sizeof(uint64_t),
-                         "shard_manifest")
-      .ok();
+  return w.Publish(dir + kManifestName, "shard_manifest").ok();
 }
 
 }  // namespace internal
 
 std::optional<ShardManifest> LoadShardManifest(const std::string& dir) {
-  const std::string path = dir + kManifestName;
-  std::string bytes;
+  RecordReader r;
   // Fault-injection site: shard_manifest.read (torn ⇒ checksum rejects).
-  if (!ReadFileToString(path, &bytes, "shard_manifest").ok()) {
-    return std::nullopt;
-  }
-  if (bytes.size() % sizeof(uint64_t) != 0) return std::nullopt;
-  std::vector<uint64_t> words(bytes.size() / sizeof(uint64_t));
-  std::memcpy(words.data(), bytes.data(), bytes.size());
-  if (words.size() < 8) return std::nullopt;
-
-  const uint64_t checksum = words.back();
-  words.pop_back();
-  if (checksum != FnvDigest(words.data(), words.size() * sizeof(uint64_t))) {
-    return std::nullopt;
-  }
-  if (words[0] != kManifestMagic || words[1] != kFormatVersion) {
+  if (!r.Open(dir + kManifestName, kManifestMagic, kFormatVersion,
+              "shard_manifest")
+           .ok()) {
     return std::nullopt;
   }
   ShardManifest m;
-  m.num_nodes = words[2];
-  m.num_edges = words[3];
-  m.page_size = words[4];
-  m.graph_fingerprint = words[5];
-  const uint64_t num_shards = words[6];
-  if (words.size() != 7 + num_shards * 7) return std::nullopt;
-  m.shards.resize(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    const uint64_t* p = words.data() + 7 + s * 7;
-    m.shards[s] = {p[0], p[1], p[2], p[3], p[4], p[5], p[6]};
-  }
+  m.num_nodes = r.Get<uint64_t>();
+  m.num_edges = r.Get<uint64_t>();
+  m.page_size = r.Get<uint64_t>();
+  m.graph_fingerprint = r.Get<uint64_t>();
+  m.shards.resize(r.GetCount(sizeof(GraphShardInfo)));
+  for (GraphShardInfo& s : m.shards) r.GetBytes(&s, sizeof(s));
+  if (!r.Done()) return std::nullopt;
   return m;
 }
 
@@ -418,53 +400,33 @@ std::unique_ptr<SsdGraphStore> SsdGraphStore::Open(const std::string& dir,
       new SsdGraphStore(std::move(*manifest), std::move(file), budget_pages));
 }
 
+SsdGraphStore::SsdGraphStore(ShardManifest manifest,
+                             std::unique_ptr<PageFile> file,
+                             size_t budget_pages)
+    : manifest_(std::move(manifest)),
+      file_(std::move(file)),
+      pool_(*file_, budget_pages,
+            [this](size_t s, std::span<const std::byte> page) {
+              return ShardPageMatches(manifest_.shards[s], page);
+            }) {}
+
 Status SsdGraphStore::TryPin(size_t s, PinnedShard* out) {
   *out = PinnedShard();
   if (s >= manifest_.num_shards()) {
     return FailedPreconditionError("shard index out of range");
   }
-  // A checksum/fingerprint mismatch on the pooled bytes may be a transient
-  // in-flight fault (a torn read the kernel happened to surface as success);
-  // dropping the cached page and re-reading from the shard file gives the
-  // store a bounded number of chances to observe the true on-disk bytes.
-  // Only a mismatch that survives every re-read is reported — at that point
-  // the file itself is damaged, and graph data (unlike cache entries) cannot
-  // be recomputed.
-  Status last_error;
-  for (size_t attempt = 1; attempt <= BufferPool::kMaxIoAttempts; ++attempt) {
-    BufferPool::PageHandle handle;
-    SEPRIV_RETURN_IF_ERROR(pool_.TryPin(s, &handle));
-    const std::span<const std::byte> page(handle.data(), pool_.page_size());
-
-    const bool already_verified =
-        verified_load_[s].load(std::memory_order_acquire) == handle.load_id();
-    auto view = internal::ParseShardPage(page, !already_verified);
-    bool matches = view.has_value();
-    if (matches && !already_verified) {
-      const GraphShardInfo& info = manifest_.shards[s];
-      matches = ShardFingerprint(*view) == info.fingerprint &&
-                view->node_begin == info.node_begin &&
-                view->node_end == info.node_end &&
-                view->edge_begin == info.edge_begin &&
-                view->edge_count == info.edge_count;
-      if (matches) {
-        verified_load_[s].store(handle.load_id(), std::memory_order_release);
-      }
-    }
-    if (matches) {
-      auto hold = std::make_shared<BufferPool::PageHandle>(std::move(handle));
-      *out = PinnedShard(*view, std::shared_ptr<const void>(hold, hold.get()));
-      return OkStatus();
-    }
-    last_error = CorruptionError("shard " + std::to_string(s) + " in " +
-                                 file_->path() +
-                                 " failed checksum/manifest verification");
-    // Drop our pin, then drop the pool's cached copy so the next attempt
-    // re-reads from disk instead of re-hashing the same bad frame.
-    handle = BufferPool::PageHandle();
-    pool_.Discard(s);
-  }
-  return last_error;
+  // A mismatch that survives the pool's re-reads surfaces here: the file
+  // itself is damaged, and graph data (unlike cache entries) cannot be
+  // recomputed.
+  BufferPool::PageHandle handle;
+  SEPRIV_RETURN_IF_ERROR(pool_.TryPin(s, &handle));
+  // The pool checked this disk read; only the header is parsed again.
+  const auto view = internal::ParseShardPage(
+      {handle.data(), pool_.page_size()}, /*verify_checksum=*/false);
+  SEPRIV_CHECK(view.has_value(), "checked shard page %zu does not parse", s);
+  auto hold = std::make_shared<BufferPool::PageHandle>(std::move(handle));
+  *out = PinnedShard(*view, std::shared_ptr<const void>(hold, hold.get()));
+  return OkStatus();
 }
 
 void SsdGraphStore::Prefetch(size_t s) {

@@ -21,11 +21,14 @@
 // the whole-graph Graph::Fingerprint() — reproducible from the shards alone
 // via ComposeGraphFingerprint, so the sharded and in-memory representations
 // can be proven to describe the same graph without materializing it.
+// SsdGraphStore hands the checksum + manifest match to its BufferPool as the
+// page check, so each shard page is verified once per disk read, on the pin
+// and prefetch paths alike. The manifest is a checksummed record file
+// (util/record_file.h).
 
 #ifndef SEPRIVGEMB_GRAPH_SHARD_H_
 #define SEPRIVGEMB_GRAPH_SHARD_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -206,11 +209,11 @@ class SsdGraphStore : public GraphStore {
   const ShardManifest& manifest() const override { return manifest_; }
 
   /// Pin with graceful degradation: a transient read fault or a checksum /
-  /// fingerprint mismatch on the pooled page triggers a bounded
-  /// drop-and-re-read from the shard file (the pool's Discard primitive);
-  /// only a fault that survives every re-read surfaces, as kCorruption or
-  /// the underlying IO error. Fault-injection sites: "page_file.read" (the
-  /// pool's reads) — a `torn` schedule there exercises exactly this path.
+  /// fingerprint mismatch is absorbed by the pool's bounded re-read (the
+  /// shard check is the pool's page check); only a fault that survives
+  /// every re-read surfaces, as kCorruption or the underlying IO error.
+  /// Fault-injection sites: "page_file.read" (the pool's reads) — a `torn`
+  /// schedule there exercises exactly this path.
   Status TryPin(size_t s, PinnedShard* out) override;
 
   void Prefetch(size_t s) override;
@@ -219,20 +222,11 @@ class SsdGraphStore : public GraphStore {
 
  private:
   SsdGraphStore(ShardManifest manifest, std::unique_ptr<PageFile> file,
-                size_t budget_pages)
-      : manifest_(std::move(manifest)),
-        file_(std::move(file)),
-        pool_(*file_, budget_pages),
-        verified_load_(manifest_.num_shards()) {}
+                size_t budget_pages);
 
   ShardManifest manifest_;
   std::unique_ptr<PageFile> file_;
   BufferPool pool_;
-  // Per shard: the pool load_id whose bytes passed checksum + fingerprint
-  // verification. Pins of the same load skip re-hashing the page, so repeat
-  // pins of a resident shard (the negative sampler's adjacency probes) cost
-  // a 72-byte header parse, not an O(page) scan. 0 = never verified.
-  std::vector<std::atomic<uint64_t>> verified_load_;
 };
 
 /// Recomputes the whole-graph Graph::Fingerprint() from the shards alone by
@@ -255,9 +249,9 @@ GraphShardInfo SerializeShardPage(const ShardView& view,
                                   std::span<std::byte> page);
 
 /// Parses a shard page, verifying its checksum when `verify_checksum` is set
-/// (skipped only for bytes a previous parse of the SAME disk read already
-/// verified). nullopt on corruption. The view aliases `page`, which must be
-/// 8-byte aligned and stay alive while the view is used.
+/// (skipped only for a pinned page, whose disk read the pool's page check
+/// already verified). nullopt on corruption. The view aliases `page`, which
+/// must be 8-byte aligned and stay alive while the view is used.
 std::optional<ShardView> ParseShardPage(std::span<const std::byte> page,
                                         bool verify_checksum = true);
 

@@ -4,17 +4,15 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iterator>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "util/atomic_file.h"
 #include "util/check.h"
 #include "util/mutex.h"
+#include "util/record_file.h"
 #include "util/rng.h"
 
 namespace sepriv {
@@ -101,26 +99,11 @@ void RunPass(const std::vector<std::pair<size_t, size_t>>& shards,
 // Cache serialisation
 // ---------------------------------------------------------------------------
 
-constexpr uint32_t kCacheMagic = 0x53505853;  // "SPXS"
-constexpr uint32_t kCacheVersion = 1;
-
-/// splitmix64-chained digest over a byte range, 8 bytes at a time with a
-/// zero-padded tail. Guards the cache file against truncation/corruption.
-uint64_t DigestBytes(const char* data, size_t len) {
-  uint64_t h = 0xc3a5c85c97cb3127ULL ^ len;
-  size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    uint64_t word;
-    std::memcpy(&word, data + i, 8);
-    h = HashMix(h, word);
-  }
-  if (i < len) {
-    uint64_t word = 0;
-    std::memcpy(&word, data + i, len - i);
-    h = HashMix(h, word);
-  }
-  return h;
-}
+// "SEPRSPXS" as a little-endian u64. v2 moved the file onto the shared
+// record frame (util/record_file.h): v1 files fail its digest and magic
+// checks, so they are misses and get recomputed.
+constexpr uint64_t kCacheMagic = 0x5358505352504553ULL;
+constexpr uint64_t kCacheVersion = 2;
 
 /// The ProximityOptions fields in a fixed serialisation order, for both the
 /// cache-file header (stored and re-verified field by field on load — a key
@@ -137,54 +120,6 @@ std::vector<uint64_t> OptionWords(const ProximityOptions& opts) {
           static_cast<uint64_t>(opts.dw_walk_length),
           opts.seed};
 }
-
-template <typename T>
-void AppendPod(std::string& out, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void AppendDoubles(std::string& out, const std::vector<double>& v) {
-  out.append(reinterpret_cast<const char*>(v.data()),
-             v.size() * sizeof(double));
-}
-
-/// Bounds-checked cursor over a loaded cache file.
-class ByteReader {
- public:
-  ByteReader(const char* data, size_t len) : data_(data), len_(len) {}
-
-  template <typename T>
-  bool Read(T* out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (cur_ + sizeof(T) > len_) return false;
-    std::memcpy(out, data_ + cur_, sizeof(T));
-    cur_ += sizeof(T);
-    return true;
-  }
-
-  bool ReadString(size_t n, std::string* out) {
-    if (cur_ + n > len_) return false;
-    out->assign(data_ + cur_, n);
-    cur_ += n;
-    return true;
-  }
-
-  bool ReadDoubles(size_t n, std::vector<double>* out) {
-    if (n > (len_ - cur_) / sizeof(double)) return false;
-    out->resize(n);
-    std::memcpy(out->data(), data_ + cur_, n * sizeof(double));
-    cur_ += n * sizeof(double);
-    return true;
-  }
-
-  bool AtEnd() const { return cur_ == len_; }
-
- private:
-  const char* data_;
-  size_t len_;
-  size_t cur_ = 0;
-};
 
 uint64_t CacheKeyHash(const std::string& provider_name,
                       const ProximityOptions& opts) {
@@ -298,28 +233,25 @@ bool SaveShardProximityCache(const std::string& cache_root,
   std::filesystem::create_directories(
       std::filesystem::path(path).parent_path(), ec);  // best effort
 
-  std::string blob;
-  blob.reserve(96 + provider_name.size() +
-               2 * prox.forward.size() * sizeof(double));
-  AppendPod(blob, kCacheMagic);
-  AppendPod(blob, kCacheVersion);
-  AppendPod(blob, graph_fingerprint);
-  AppendPod(blob, static_cast<uint64_t>(shard_index));
-  AppendPod(blob, shard_fingerprint);
-  AppendPod(blob, static_cast<uint64_t>(prox.forward.size()));
-  for (uint64_t word : OptionWords(opts)) AppendPod(blob, word);
-  AppendPod(blob, static_cast<uint32_t>(provider_name.size()));
-  blob.append(provider_name);
-  AppendDoubles(blob, prox.forward);
-  AppendDoubles(blob, prox.backward);
-  AppendPod(blob, DigestBytes(blob.data(), blob.size()));
+  const size_t m = prox.forward.size();
+  RecordWriter w(kCacheMagic, kCacheVersion,
+                 13 * sizeof(uint64_t) + provider_name.size() +
+                     2 * m * sizeof(double));
+  w.Put(graph_fingerprint);
+  w.Put(static_cast<uint64_t>(shard_index));
+  w.Put(shard_fingerprint);
+  w.Put(static_cast<uint64_t>(m));
+  for (uint64_t word : OptionWords(opts)) w.Put(word);
+  w.Put(static_cast<uint64_t>(provider_name.size()));
+  w.PutBytes(provider_name.data(), provider_name.size());
+  w.PutBytes(prox.forward.data(), m * sizeof(double));
+  w.PutBytes(prox.backward.data(), m * sizeof(double));
 
   // Durable atomic publish (write-temp + fsync file and directory + rename):
   // concurrent loaders see either the old complete file or the new complete
   // file, never a torn write — and a crash right after Save returns cannot
   // resurface an empty or garbage file at the final path.
-  return WriteFileAtomic(path, blob.data(), blob.size(), "proxcache.shard")
-      .ok();
+  return w.Publish(path, "proxcache.shard").ok();
 }
 
 std::optional<ShardProximity> LoadShardProximityCache(
@@ -331,51 +263,37 @@ std::optional<ShardProximity> LoadShardProximityCache(
   const std::string path =
       ShardCacheFilePath(cache_root, graph_fingerprint, shard_index,
                          shard_fingerprint, provider_name, opts);
-  std::string blob;
-  if (!ReadFileToString(path, &blob, "proxcache.shard").ok())
+  // The record frame's checksum comes first: truncated, appended-to, or
+  // bit-flipped files all fail Open before any field is trusted.
+  RecordReader r;
+  if (!r.Open(path, kCacheMagic, kCacheVersion, "proxcache.shard").ok()) {
     return std::nullopt;
-
-  // Whole-file checksum first: truncated, appended-to, or bit-flipped files
-  // all fail here before any field is trusted.
-  if (blob.size() < sizeof(uint64_t)) return std::nullopt;
-  const size_t payload_len = blob.size() - sizeof(uint64_t);
-  uint64_t stored_digest = 0;
-  std::memcpy(&stored_digest, blob.data() + payload_len, sizeof(uint64_t));
-  if (DigestBytes(blob.data(), payload_len) != stored_digest)
+  }
+  if (r.Get<uint64_t>() != graph_fingerprint ||
+      r.Get<uint64_t>() != shard_index ||
+      // The shard fingerprint is verified from the HEADER, not just the file
+      // name: a file renamed or hash-colliding into place still cannot serve
+      // stale data for a changed shard.
+      r.Get<uint64_t>() != shard_fingerprint ||
+      r.Get<uint64_t>() != edge_count) {
     return std::nullopt;
-
-  ByteReader reader(blob.data(), payload_len);
-  uint32_t magic = 0, version = 0, name_len = 0;
-  uint64_t graph_fp = 0, idx = 0, shard_fp = 0, count = 0;
-  std::string name;
-  if (!reader.Read(&magic) || magic != kCacheMagic) return std::nullopt;
-  if (!reader.Read(&version) || version != kCacheVersion)
-    return std::nullopt;
-  if (!reader.Read(&graph_fp) || graph_fp != graph_fingerprint)
-    return std::nullopt;
-  if (!reader.Read(&idx) || idx != shard_index) return std::nullopt;
-  // The shard fingerprint is verified from the HEADER, not just the file
-  // name: a file renamed or hash-colliding into place still cannot serve
-  // stale data for a changed shard.
-  if (!reader.Read(&shard_fp) || shard_fp != shard_fingerprint)
-    return std::nullopt;
-  if (!reader.Read(&count) || count != edge_count) return std::nullopt;
+  }
   // The full option vector is compared field by field — a key-hash collision
   // in the directory name can only cause a spurious miss, never a wrong hit.
   for (uint64_t expected : OptionWords(opts)) {
-    uint64_t stored = 0;
-    if (!reader.Read(&stored) || stored != expected) return std::nullopt;
+    if (r.Get<uint64_t>() != expected) return std::nullopt;
   }
-  if (!reader.Read(&name_len) || !reader.ReadString(name_len, &name) ||
-      name != provider_name) {
-    return std::nullopt;
-  }
+  std::string name(r.GetCount(1), '\0');
+  r.GetBytes(name.data(), name.size());
+  if (!r.ok() || name != provider_name) return std::nullopt;
 
   ShardProximity out;
-  if (!reader.ReadDoubles(edge_count, &out.forward) ||
-      !reader.ReadDoubles(edge_count, &out.backward) || !reader.AtEnd()) {
-    return std::nullopt;
-  }
+  if (r.remaining() != 2 * edge_count * sizeof(double)) return std::nullopt;
+  out.forward.resize(edge_count);
+  out.backward.resize(edge_count);
+  r.GetBytes(out.forward.data(), edge_count * sizeof(double));
+  r.GetBytes(out.backward.data(), edge_count * sizeof(double));
+  if (!r.Done()) return std::nullopt;
   return out;
 }
 

@@ -21,8 +21,10 @@
 // layout: one versioned binary file per shard,
 //   <cache_root>/proxshard_<graph-fp>_<key>/shard_<i>_<shard-fp>.bin
 // keyed by the graph fingerprint, provider Name(), the full
-// ProximityOptions and the shard's own fingerprint, with a whole-file
-// checksum. A whole-graph entry is simply the shard_0 file of a 1-shard
+// ProximityOptions and the shard's own fingerprint. Each file is an SPXS
+// version-2 record in the checksummed frame checkpoints and shard manifests
+// share (util/record_file.h); version-1 files fail its checks and are
+// recomputed. A whole-graph entry is simply the shard_0 file of a 1-shard
 // store. Stale, truncated, corrupt, or mismatched files are detected and
 // recomputed — never trusted. Every front end constructs its ThreadPool up
 // front, so a warm hit also spins up (and joins) the pool's workers.

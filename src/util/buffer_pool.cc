@@ -1,14 +1,18 @@
 #include "util/buffer_pool.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "util/check.h"
 #include "util/env.h"
 
 namespace sepriv {
 
-BufferPool::BufferPool(const PageFile& file, size_t budget_pages)
-    : file_(file) {
+BufferPool::BufferPool(const PageFile& file, size_t budget_pages,
+                       PageCheck check)
+    : file_(file), check_(std::move(check)) {
+  SEPRIV_CHECK(check_ != nullptr, "buffer pool needs a page check");
   budget_pages = std::max<size_t>(1, budget_pages);
   budget_pages_ = budget_pages;
   {
@@ -53,7 +57,6 @@ size_t BufferPool::ClaimFrameLocked(size_t page) {
   }
   f.page = page;
   f.loading = true;
-  f.failed = false;
   page_to_frame_.emplace(page, victim);
   return victim;
 }
@@ -61,14 +64,21 @@ size_t BufferPool::ClaimFrameLocked(size_t page) {
 void BufferPool::FinishLoadLocked(size_t frame, bool ok) {
   Frame& f = frames_[frame];
   f.loading = false;
-  f.failed = !ok;
-  if (ok) f.load_id = ++load_counter_;
   if (!ok) {
     // Leave no mapping to a garbage frame; the next TryPin retries the read.
     page_to_frame_.erase(f.page);
     f.page = kNoPage;
   }
   frame_cv_.NotifyAll();
+}
+
+Status BufferPool::ReadAndCheck(size_t page, std::byte* dst) const {
+  SEPRIV_RETURN_IF_ERROR(file_.TryReadPage(page, dst));
+  if (!check_(page, std::span<const std::byte>(dst, file_.page_size()))) {
+    return CorruptionError("page " + std::to_string(page) + " of " +
+                           file_.path() + " failed its check");
+  }
+  return OkStatus();
 }
 
 Status BufferPool::TryPin(size_t page, PageHandle* out) {
@@ -87,7 +97,7 @@ Status BufferPool::TryPin(size_t page, PageHandle* out) {
       ++f.pins;
       f.last_use = ++tick_;
       ++stats_.hits;
-      *out = PageHandle(this, it->second, f.buf.data(), page, f.load_id);
+      *out = PageHandle(this, it->second, f.buf.data(), page);
       return OkStatus();
     }
 
@@ -109,19 +119,19 @@ Status BufferPool::TryPin(size_t page, PageHandle* out) {
 
     ++stats_.misses;
     // Snapshot the destination while the latch proves the frame is ours
-    // (`loading` fences it from eviction), then read without the latch.
-    // Transient faults (plain IO errors) get a bounded number of immediate
-    // re-reads; corruption and precondition failures surface at once.
+    // (`loading` fences it from eviction), then read and check without the
+    // latch. Plain IO errors and bad bytes (a failed check, a short read)
+    // get a bounded number of immediate re-reads; ENOSPC and precondition
+    // failures surface at once.
     std::byte* dst = frames_[frame].buf.data();
     Status read_status;
     for (size_t attempt = 1; attempt <= kMaxIoAttempts; ++attempt) {
       lock.Unlock();
-      read_status = file_.TryReadPage(page, dst);
+      read_status = ReadAndCheck(page, dst);
       lock.Lock();
-      if (read_status.ok() || !read_status.transient() ||
-          attempt == kMaxIoAttempts) {
-        break;
-      }
+      const bool retryable = read_status.transient() ||
+                             read_status.code() == StatusCode::kCorruption;
+      if (read_status.ok() || !retryable || attempt == kMaxIoAttempts) break;
       ++stats_.read_retries;
     }
     FinishLoadLocked(frame, read_status.ok());
@@ -129,22 +139,9 @@ Status BufferPool::TryPin(size_t page, PageHandle* out) {
     Frame& f = frames_[frame];
     ++f.pins;
     f.last_use = ++tick_;
-    *out = PageHandle(this, frame, f.buf.data(), page, f.load_id);
+    *out = PageHandle(this, frame, f.buf.data(), page);
     return OkStatus();
   }
-}
-
-bool BufferPool::Discard(size_t page) {
-  MutexLock lock(mu_);
-  auto it = page_to_frame_.find(page);
-  if (it == page_to_frame_.end()) return false;
-  Frame& f = frames_[it->second];
-  if (f.pins > 0 || f.loading) return false;
-  page_to_frame_.erase(it);
-  f.page = kNoPage;
-  f.load_id = 0;
-  ++stats_.discards;
-  return true;
 }
 
 void BufferPool::Prefetch(size_t page) {
@@ -180,10 +177,16 @@ void BufferPool::PrefetchLoop() {
     }
     std::byte* dst = frames_[frame].buf.data();
     lock.Unlock();
-    const bool ok = file_.TryReadPage(page, dst).ok();
+    const bool ok = ReadAndCheck(page, dst).ok();
     lock.Lock();
+    // A failed prefetch leaves the page absent, so the next TryPin reads it
+    // again itself: the bad bytes are never served.
     FinishLoadLocked(frame, ok);
-    if (ok) ++stats_.prefetch_loads;
+    if (ok) {
+      ++stats_.prefetch_loads;
+    } else {
+      ++stats_.read_retries;
+    }
   }
 }
 

@@ -7,6 +7,15 @@
 // frames stay resident as a cache; eviction is least-recently-used among
 // unpinned frames only, so a pinned page can never be stolen mid-read.
 //
+// Integrity: the owner hands the pool its page check (the shard store's
+// checksum + manifest match, the sample store's page checksum). The pool
+// runs it once per disk read, outside the latch, on whichever thread did
+// the read — TryPin's or the prefetcher's — before the frame becomes
+// visible. A page that fails its check is never served: the read counts as
+// failed, is retried like a transient IO fault, and surfaces as kCorruption
+// only after kMaxIoAttempts bad reads. Re-pins of a resident page cost no
+// re-check, because a resident frame's bytes never change.
+//
 // Prefetch(page) is a non-blocking hint serviced by one background thread:
 // it loads the page into a free/evictable frame so the next TryPin is a cache
 // hit, hiding the SSD latency behind the caller's compute. Hints are
@@ -32,6 +41,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -49,15 +60,23 @@ struct BufferPoolStats {
   uint64_t evictions = 0;       // resident page displaced from its frame
   uint64_t prefetch_loads = 0;  // pages loaded by the background thread
   uint64_t prefetch_dropped = 0;  // hints skipped (resident/queued/no frame)
-  uint64_t read_retries = 0;    // transient read faults absorbed by TryPin
-  uint64_t discards = 0;        // pages dropped via Discard (re-read path)
+  // Failed reads or page checks the pool absorbed, each followed by a
+  // re-read (TryPin's next attempt; for a prefetch, the next pin's read).
+  uint64_t read_retries = 0;
 };
 
 class BufferPool {
  public:
+  /// Verifies the bytes of one page just read from disk; false rejects the
+  /// read. Called concurrently from TryPin callers and the prefetch thread,
+  /// so it must be thread-safe (a pure function of its arguments is).
+  using PageCheck =
+      std::function<bool(size_t page, std::span<const std::byte> bytes)>;
+
   /// `budget_pages` frames of file.page_size() bytes each; clamped to >= 1.
-  /// The pool reads through `file`, which must outlive it.
-  BufferPool(const PageFile& file, size_t budget_pages);
+  /// The pool reads through `file`, which must outlive it, and runs `check`
+  /// after every disk read.
+  BufferPool(const PageFile& file, size_t budget_pages, PageCheck check);
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
@@ -74,7 +93,6 @@ class BufferPool {
       frame_ = other.frame_;
       data_ = other.data_;
       page_ = other.page_;
-      load_id_ = other.load_id_;
       other.pool_ = nullptr;
       other.data_ = nullptr;
       return *this;
@@ -87,25 +105,17 @@ class BufferPool {
     const std::byte* data() const { return data_; }
     size_t page() const { return page_; }
 
-    /// Monotone id of the disk read that filled this frame: two handles with
-    /// equal (page, load_id) are provably the same bytes, so a caller that
-    /// has validated the page once can skip re-validation until the page is
-    /// evicted and re-read. 0 for an invalid handle.
-    uint64_t load_id() const { return load_id_; }
-
    private:
     friend class BufferPool;
     PageHandle(BufferPool* pool, size_t frame, const std::byte* data,
-               size_t page, uint64_t load_id)
-        : pool_(pool), frame_(frame), data_(data), page_(page),
-          load_id_(load_id) {}
+               size_t page)
+        : pool_(pool), frame_(frame), data_(data), page_(page) {}
     void Release();
 
     BufferPool* pool_ = nullptr;
     size_t frame_ = 0;
     const std::byte* data_ = nullptr;
     size_t page_ = 0;
-    uint64_t load_id_ = 0;
   };
 
   /// Maximum disk-read attempts a single TryPin absorbs before surfacing
@@ -114,20 +124,13 @@ class BufferPool {
   /// not transient.
   static constexpr size_t kMaxIoAttempts = 3;
 
-  /// Pins `page`, reading it from disk if not resident; transient read
-  /// faults are retried up to kMaxIoAttempts times (stats().read_retries
-  /// counts the absorbed faults). On persistent failure returns the last
-  /// read's structured error and leaves `*out` invalid. Aborts
-  /// (SEPRIV_CHECK) when every frame is pinned — the pool is over-pinned,
-  /// a caller bug.
+  /// Pins `page`, reading and checking it if not resident; transient read
+  /// faults and failed checks are re-read up to kMaxIoAttempts times in all
+  /// (stats().read_retries counts the absorbed failures). On persistent
+  /// failure returns the last attempt's structured error — kCorruption for a
+  /// failed check — and leaves `*out` invalid. Aborts (SEPRIV_CHECK) when
+  /// every frame is pinned — the pool is over-pinned, a caller bug.
   Status TryPin(size_t page, PageHandle* out) SEPRIV_EXCLUDES(mu_);
-
-  /// Drops an unpinned resident copy of `page` so the next TryPin re-reads it
-  /// from disk. This is the recovery primitive for checksum mismatches
-  /// detected ABOVE the pool (the pool cannot know a page's checksum): the
-  /// caller drops its handle, Discards the page, and pins again. Returns
-  /// false when the page is not resident or still pinned/loading.
-  bool Discard(size_t page) SEPRIV_EXCLUDES(mu_);
 
   /// Asynchronous load hint; never blocks beyond a mutex.
   void Prefetch(size_t page) SEPRIV_EXCLUDES(mu_);
@@ -149,9 +152,7 @@ class BufferPool {
     size_t page = kNoPage;
     size_t pins = 0;
     bool loading = false;
-    bool failed = false;     // last read failed; frame holds no valid data
     uint64_t last_use = 0;
-    uint64_t load_id = 0;    // id of the read that filled the frame
   };
 
   /// Claims a frame for `page` (evicting an unpinned resident page if
@@ -162,10 +163,16 @@ class BufferPool {
   /// Completes a claimed frame after the (unlocked) disk read.
   void FinishLoadLocked(size_t frame, bool ok) SEPRIV_REQUIRES(mu_);
 
+  /// One disk read of `page` into `dst` followed by the owner's check (a
+  /// failed check is kCorruption). Runs without the latch: touches only the
+  /// claimed frame's bytes and immutable members.
+  Status ReadAndCheck(size_t page, std::byte* dst) const;
+
   void PrefetchLoop() SEPRIV_EXCLUDES(mu_);
   void Unpin(size_t frame) SEPRIV_EXCLUDES(mu_);
 
   const PageFile& file_;
+  const PageCheck check_;
   size_t budget_pages_ = 0;  // == frames_.size(); immutable after the ctor
 
   mutable Mutex mu_;
@@ -184,7 +191,6 @@ class BufferPool {
   std::unordered_map<size_t, size_t> page_to_frame_ SEPRIV_GUARDED_BY(mu_);
   std::deque<size_t> prefetch_queue_ SEPRIV_GUARDED_BY(mu_);
   uint64_t tick_ SEPRIV_GUARDED_BY(mu_) = 0;
-  uint64_t load_counter_ SEPRIV_GUARDED_BY(mu_) = 0;
   bool stop_ SEPRIV_GUARDED_BY(mu_) = false;
   BufferPoolStats stats_ SEPRIV_GUARDED_BY(mu_);
 

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <vector>
 
 #include "util/mem.h"
@@ -37,6 +40,9 @@ class BufferPoolTest : public ::testing::Test {
     EXPECT_TRUE(file->TrySync().ok());
     return file;
   }
+
+  /// Page check for tests that exercise the pool, not the check.
+  static bool AcceptAll(size_t, std::span<const std::byte>) { return true; }
 
   /// Pins `page`, failing the test on a read error.
   static BufferPool::PageHandle MustPin(BufferPool& pool, size_t page) {
@@ -78,7 +84,7 @@ TEST_F(BufferPoolTest, PageFileRoundTripAndTruncationDetection) {
 TEST_F(BufferPoolTest, PinReturnsCorrectBytesAndCountsHits) {
   const std::string path = TempPath("hits");
   auto file = MakeFile(path, 6);
-  BufferPool pool(*file, 2);
+  BufferPool pool(*file, 2, AcceptAll);
 
   for (size_t p = 0; p < 6; ++p) {
     auto h = MustPin(pool, p);
@@ -97,7 +103,7 @@ TEST_F(BufferPoolTest, PinReturnsCorrectBytesAndCountsHits) {
 TEST_F(BufferPoolTest, BudgetIsAHardCeilingWithLruEviction) {
   const std::string path = TempPath("lru");
   auto file = MakeFile(path, 4);
-  BufferPool pool(*file, 2);
+  BufferPool pool(*file, 2, AcceptAll);
   EXPECT_EQ(pool.budget_pages(), 2u);
 
   {
@@ -113,30 +119,102 @@ TEST_F(BufferPoolTest, BudgetIsAHardCeilingWithLruEviction) {
   EXPECT_GE(pool.stats().evictions, 1u);
 }
 
-TEST_F(BufferPoolTest, LoadIdChangesAcrossReloadOfSamePage) {
-  const std::string path = TempPath("loadid");
+TEST_F(BufferPoolTest, CheckRunsOncePerDiskRead) {
+  const std::string path = TempPath("checkonce");
   auto file = MakeFile(path, 3);
-  BufferPool pool(*file, 1);  // one frame: every distinct page evicts
+  std::atomic<size_t> checks[3] = {};
+  // One frame: every distinct page evicts the resident one.
+  BufferPool pool(*file, 1, [&](size_t page, std::span<const std::byte> b) {
+    EXPECT_EQ(b.size(), kPage);
+    checks[page].fetch_add(1);
+    return true;
+  });
 
-  uint64_t first_load;
   {
     auto h = MustPin(pool, 0);
-    ASSERT_TRUE(h.valid());
-    first_load = h.load_id();
-    EXPECT_NE(first_load, 0u);
-    // Same residency => same load id.
-    auto h2 = MustPin(pool, 0);
-    EXPECT_EQ(h2.load_id(), first_load);
+    EXPECT_TRUE(PageIs(h, 0));
+    EXPECT_EQ(checks[0].load(), 1u);
+    auto again = MustPin(pool, 0);  // resident: a hit, no re-check
+    EXPECT_TRUE(PageIs(again, 0));
   }
+  EXPECT_EQ(checks[0].load(), 1u);
+  EXPECT_EQ(pool.stats().hits, 1u);
+
   { auto other = MustPin(pool, 1); }  // evicts page 0
-  auto h3 = MustPin(pool, 0);         // re-read from disk
-  EXPECT_NE(h3.load_id(), first_load);
+  EXPECT_EQ(checks[1].load(), 1u);
+  auto reread = MustPin(pool, 0);     // read from disk again: checked again
+  EXPECT_TRUE(PageIs(reread, 0));
+  EXPECT_EQ(checks[0].load(), 2u);
+  EXPECT_EQ(pool.stats().misses, 3u);
+}
+
+TEST_F(BufferPoolTest, FailedCheckIsReReadAndServed) {
+  const std::string path = TempPath("checkonce_fail");
+  auto file = MakeFile(path, 2);
+  std::atomic<size_t> calls{0};
+  BufferPool pool(*file, 2, [&](size_t, std::span<const std::byte>) {
+    return calls.fetch_add(1) != 0;  // the first read is rejected
+  });
+
+  auto h = MustPin(pool, 1);
+  EXPECT_TRUE(PageIs(h, 1));
+  EXPECT_EQ(calls.load(), 2u);
+  const BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.read_retries, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+}
+
+TEST_F(BufferPoolTest, PersistentCheckFailureSurfacesCorruption) {
+  const std::string path = TempPath("checkfail");
+  auto file = MakeFile(path, 2);
+  std::atomic<bool> corrupt{true};
+  std::atomic<size_t> calls{0};
+  BufferPool pool(*file, 2, [&](size_t, std::span<const std::byte>) {
+    calls.fetch_add(1);
+    return !corrupt.load();
+  });
+
+  BufferPool::PageHandle h;
+  EXPECT_EQ(pool.TryPin(0, &h).code(), StatusCode::kCorruption);
+  EXPECT_FALSE(h.valid());
+  // Every attempt read the page and checked it; none was served.
+  EXPECT_EQ(calls.load(), BufferPool::kMaxIoAttempts);
+  EXPECT_EQ(pool.stats().read_retries, BufferPool::kMaxIoAttempts - 1);
+
+  // No frame was left holding the rejected bytes: a clean read serves.
+  corrupt = false;
+  h = MustPin(pool, 0);
+  EXPECT_TRUE(PageIs(h, 0));
+  EXPECT_EQ(calls.load(), BufferPool::kMaxIoAttempts + 1);
+}
+
+TEST_F(BufferPoolTest, PrefetchedPageFailingItsCheckIsNeverServed) {
+  const std::string path = TempPath("prefetch_bad");
+  auto file = MakeFile(path, 4);
+  std::atomic<size_t> calls{0};
+  BufferPool pool(*file, 2, [&](size_t, std::span<const std::byte>) {
+    return calls.fetch_add(1) != 0;  // the prefetch's read is rejected
+  });
+
+  pool.Prefetch(3);
+  // Only the prefetch thread reads until TryPin below, so the first check
+  // is the prefetch's. Spin (no sleep) until it has run.
+  while (calls.load() == 0) std::this_thread::yield();
+
+  auto h = MustPin(pool, 3);
+  EXPECT_TRUE(PageIs(h, 3));
+  EXPECT_EQ(calls.load(), 2u);  // the pin read the page again itself
+  const BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.prefetch_loads, 0u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.read_retries, 1u);
 }
 
 TEST_F(BufferPoolTest, PrefetchMakesNextPinAHit) {
   const std::string path = TempPath("prefetch");
   auto file = MakeFile(path, 8);
-  BufferPool pool(*file, 4);
+  BufferPool pool(*file, 4, AcceptAll);
 
   pool.Prefetch(3);
   // The background load is asynchronous; Pin must return the right bytes

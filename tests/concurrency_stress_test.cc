@@ -5,7 +5,8 @@
 //
 //   - BufferPool: racing Pin/Prefetch/Release across threads, shutdown with
 //     a saturated prefetch queue (the prefetch-thread ordering hazard), and
-//     pin-while-prefetching of the SAME page (duplicate-read suppression)
+//     pin-while-prefetching of the SAME page (duplicate-read suppression);
+//     the page check runs on pinning and prefetch threads alike
 //   - ThreadPool: rapid construct/ParallelFor/destruct churn (worker
 //     startup/shutdown handshake) and back-to-back jobs (job_id handoff)
 //   - kernels::ParallelTasks: concurrent callers (try_lock serial fallback)
@@ -20,6 +21,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -58,6 +60,12 @@ class ConcurrencyStressTest : public ::testing::Test {
     return file;
   }
 
+  /// The pool's page check: the page's fill byte matches its index. Runs
+  /// concurrently on the pinning threads and the prefetch thread.
+  static bool FillMatches(size_t page, std::span<const std::byte> bytes) {
+    return bytes.front() == std::byte{static_cast<unsigned char>(page % 251)};
+  }
+
   /// Pins `page`, failing the test on a read error (gtest assertions are
   /// thread-safe, so worker threads may call this).
   static BufferPool::PageHandle MustPin(BufferPool& pool, size_t page) {
@@ -81,7 +89,7 @@ TEST_F(ConcurrencyStressTest, BufferPoolConcurrentPinPrefetchRelease) {
   const std::string path = TempPath("pin_race");
   const size_t kPages = 64;
   auto file = MakeFile(path, kPages);
-  BufferPool pool(*file, /*budget_pages=*/8);
+  BufferPool pool(*file, /*budget_pages=*/8, FillMatches);
 
   const size_t kThreads = 4;
   const size_t kItersPerThread = 400;
@@ -123,7 +131,7 @@ TEST_F(ConcurrencyStressTest, BufferPoolShutdownWithQueuedPrefetches) {
   // The destructor must drain/abandon the queue without touching freed
   // frames — the prefetch-thread shutdown-ordering hazard TSan watches.
   for (size_t round = 0; round < 20; ++round) {
-    BufferPool pool(*file, /*budget_pages=*/4);
+    BufferPool pool(*file, /*budget_pages=*/4, FillMatches);
     for (size_t p = 0; p < kPages; ++p) pool.Prefetch(p);
     if (round % 2 == 0) {
       BufferPool::PageHandle h = MustPin(pool, round % kPages);
@@ -137,7 +145,7 @@ TEST_F(ConcurrencyStressTest, BufferPoolPinOfPageBeingPrefetched) {
   const std::string path = TempPath("dup_read");
   const size_t kPages = 16;
   auto file = MakeFile(path, kPages);
-  BufferPool pool(*file, /*budget_pages=*/4);
+  BufferPool pool(*file, /*budget_pages=*/4, FillMatches);
   // Hammer the prefetcher and pin the same pages from two threads: Pin must
   // wait for the in-flight load instead of double-reading into the frame.
   std::atomic<size_t> bad_pages{0};

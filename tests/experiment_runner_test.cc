@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/se_privgemb.h"
@@ -26,6 +27,14 @@ struct LinalgThreadsGuard {
 };
 
 constexpr size_t kThreadCounts[] = {1, 2, 4, 8};
+
+/// "<prefix><i>", appended in place: gcc 12 at -O3 reports a spurious
+/// -Wrestrict on `const char* + std::string&&`.
+std::string CellName(const char* prefix, size_t i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
 
 TEST(CellSeedTest, DeterministicAndDistinct) {
   EXPECT_EQ(runner::CellSeed(7, 0), runner::CellSeed(7, 0));
@@ -93,7 +102,7 @@ TEST(RunGridTest, InnerThreadBudgetMatchesGridMode) {
 TEST(RunCellsTest, ResultsInInputOrderWithOwnSeeds) {
   std::vector<runner::ExperimentCell> cells;
   for (size_t i = 0; i < 20; ++i) {
-    cells.push_back({"c" + std::to_string(i), 100 + i,
+    cells.push_back({CellName("c", i), 100 + i,
                      [](const runner::CellContext& ctx) {
                        return static_cast<double>(ctx.seed) * 2.0;
                      }});
@@ -117,7 +126,7 @@ TEST(RunCellsTest, TrainEvalCellsBitIdenticalAcrossThreadCounts) {
 
   std::vector<runner::ExperimentCell> cells;
   for (size_t c = 0; c < 6; ++c) {
-    cells.push_back({"cell" + std::to_string(c), runner::CellSeed(3, c),
+    cells.push_back({CellName("cell", c), runner::CellSeed(3, c),
                      [&](const runner::CellContext& ctx) {
                        SePrivGEmbConfig cfg;
                        cfg.dim = 8;

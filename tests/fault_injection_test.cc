@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -49,6 +50,9 @@ class FaultInjectionTest : public ::testing::Test {
     }
     return file;
   }
+
+  /// Page check for the raw-pool tests: they inject IO errors, not rot.
+  static bool AcceptAll(size_t, std::span<const std::byte>) { return true; }
 
   const TestDir tmp_;
   const std::string root_ = tmp_.path();
@@ -92,7 +96,7 @@ TEST_F(FaultInjectionTest, PageFileFaultMatrix) {
 TEST_F(FaultInjectionTest, BufferPoolAbsorbsTransientReadFault) {
   auto file = MakePageFile("transient.pf", 3);
   ASSERT_NE(file, nullptr);
-  BufferPool pool(*file, 2);
+  BufferPool pool(*file, 2, AcceptAll);
 
   // Fire exactly on the first read; the retry (second read) succeeds.
   ASSERT_TRUE(failpoint::SetSpec("page_file.read=err@1"));
@@ -106,7 +110,7 @@ TEST_F(FaultInjectionTest, BufferPoolAbsorbsTransientReadFault) {
 TEST_F(FaultInjectionTest, BufferPoolSurfacesPersistentReadFault) {
   auto file = MakePageFile("persistent.pf", 2);
   ASSERT_NE(file, nullptr);
-  BufferPool pool(*file, 2);
+  BufferPool pool(*file, 2, AcceptAll);
 
   ASSERT_TRUE(failpoint::SetSpec("page_file.read=err"));
   BufferPool::PageHandle handle;
@@ -135,12 +139,12 @@ TEST_F(FaultInjectionTest, SsdStoreRereadsTornShardPage) {
   auto store = SsdGraphStore::Open(dir, /*budget_pages=*/2);
   ASSERT_NE(store, nullptr);
 
-  // First disk read returns rotted bytes; the shard checksum rejects them,
-  // the page is discarded, and the clean re-read succeeds.
+  // First disk read returns rotted bytes; the shard checksum (the pool's
+  // page check) rejects them, and the pool's clean re-read succeeds.
   ASSERT_TRUE(failpoint::SetSpec("page_file.read=torn@1"));
   PinnedShard pin;
   ASSERT_TRUE(store->TryPin(0, &pin).ok());
-  EXPECT_GE(store->pool().stats().discards, 1u);
+  EXPECT_GE(store->pool().stats().read_retries, 1u);
   EXPECT_EQ(pin->node_begin, 0u);
 
   // The recovered view serves real data.
@@ -170,6 +174,8 @@ TEST_F(FaultInjectionTest, SsdStorePersistentTornSurfacesCorruption) {
 using FaultInjectionDeathTest = FaultInjectionTest;
 
 TEST_F(FaultInjectionDeathTest, AbortingPinDiesOnPersistentFault) {
+  // Re-exec instead of fork: see ShardTest.CorruptShardPageAbortsOnPin.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Graph g = BarabasiAlbert(60, 3, /*seed=*/9);
   const std::string dir = root_ + "/death_shards";
   ASSERT_TRUE(WriteGraphShards(g, dir, 2));
@@ -177,7 +183,7 @@ TEST_F(FaultInjectionDeathTest, AbortingPinDiesOnPersistentFault) {
   ASSERT_NE(store, nullptr);
 
   ASSERT_TRUE(failpoint::SetSpec("page_file.read=err"));
-  EXPECT_DEATH(store->Pin(0), "");
+  EXPECT_DEATH(store->Pin(0), "cannot pin shard 0");
 }
 
 // --- SampleStore: writer stickiness, reader re-read -------------------------
@@ -245,7 +251,7 @@ TEST_F(FaultInjectionTest, SampleStoreRereadsTornDataPage) {
   // re-read recovers, and the record contents are exact.
   ASSERT_TRUE(failpoint::SetSpec("page_file.read=torn@1"));
   ASSERT_TRUE(store->TryPinShard(0).ok());
-  EXPECT_GE(store->pool().stats().discards, 1u);
+  EXPECT_GE(store->pool().stats().read_retries, 1u);
   const SampleView v = store->Get(0);
   EXPECT_EQ(v.center, 0u);
   EXPECT_EQ(v.context, 1u);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "util/digest.h"
 #include "test_dir.h"
 
 namespace sepriv {
@@ -191,6 +192,32 @@ TEST_F(ShardTest, CorruptManifestIsRejected) {
   EXPECT_EQ(SsdGraphStore::Open(dir, 2), nullptr);
 }
 
+TEST_F(ShardTest, ManifestShardCountBeyondItsBytesIsRejected) {
+  // A checksum-valid manifest whose shard count N = 8 * 7^-1 mod 2^64 makes
+  // `7 + N * 7` wrap to exactly the file's 15 words (7 header + 8 shard
+  // words), so a word-count comparison accepts it and then allocates N
+  // entries; the count must be checked against the bytes left first.
+  uint64_t inv7 = 7;  // Newton's iteration for 7^-1 mod 2^64
+  for (int i = 0; i < 6; ++i) inv7 *= 2 - 7 * inv7;
+  const uint64_t num_shards = 8 * inv7;
+  ASSERT_EQ(7 + num_shards * 7, 15u);
+
+  std::vector<uint64_t> words = {0x5345505653484d46ULL,  // "SEPVSHMF"
+                                 1,                      // format version
+                                 100, 300, 4096, 0x1234, num_shards};
+  for (uint64_t w = 0; w < 8; ++w) words.push_back(w);
+  words.push_back(FnvDigest(words.data(), words.size() * sizeof(uint64_t)));
+  const std::string dir = TempDirFor("wrapcount");
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream out(dir + "/graph.manifest", std::ios::binary);
+    out.write(reinterpret_cast<const char*>(words.data()),
+              static_cast<std::streamsize>(words.size() * sizeof(uint64_t)));
+  }
+  EXPECT_FALSE(LoadShardManifest(dir).has_value());
+  EXPECT_EQ(SsdGraphStore::Open(dir, 2), nullptr);
+}
+
 TEST_F(ShardTest, TruncatedShardFileIsRejectedAtOpen) {
   const Graph g = BarabasiAlbert(100, 3, 31);
   const std::string dir = TempDirFor("truncshards");
@@ -203,6 +230,10 @@ TEST_F(ShardTest, TruncatedShardFileIsRejectedAtOpen) {
 }
 
 TEST_F(ShardTest, CorruptShardPageAbortsOnPin) {
+  // Re-exec the binary for the death statement instead of forking this
+  // process: a fork while the pool's prefetch thread holds the pool latch
+  // leaves the child waiting on a lock no thread will ever release.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Graph g = BarabasiAlbert(100, 3, 37);
   const std::string dir = TempDirFor("badpage");
   ASSERT_TRUE(WriteGraphShards(g, dir, 3));
@@ -213,7 +244,7 @@ TEST_F(ShardTest, CorruptShardPageAbortsOnPin) {
   auto store = SsdGraphStore::Open(dir, 2);
   ASSERT_NE(store, nullptr);
   { PinnedShard ok = store->Pin(0); }  // other shards stay readable
-  EXPECT_DEATH({ PinnedShard bad = store->Pin(1); }, "");
+  EXPECT_DEATH({ PinnedShard bad = store->Pin(1); }, "cannot pin shard 1");
 }
 
 // --- streaming-ingest building blocks ----------------------------------------

@@ -289,6 +289,8 @@ const std::set<std::string>& IoResultFunctions() {
       // core/checkpoint.h + util/atomic_file.h + graph/shard.h
       "SaveCheckpoint", "LoadCheckpoint", "WriteFileAtomic",
       "ReadFileToString", "SaveShardManifest", "WriteGraphShards",
+      // util/record_file.h: RecordWriter::Publish, RecordReader::Open
+      "Publish", "Open",
   };
   return kSet;
 }

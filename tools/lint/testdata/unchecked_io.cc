@@ -22,6 +22,15 @@ struct Writer {
   const Status& status() const;
 };
 
+struct RecordWriter {
+  Status Publish(const char* path, const char* failpoint_base);
+};
+
+struct RecordReader {
+  Status Open(const char* path, unsigned long magic, unsigned long version,
+              const char* failpoint_base);
+};
+
 Status SaveCheckpoint(const int& ckpt, const char* path);
 Status WriteFileAtomic(const char* path, const void* data, unsigned long n,
                        const char* failpoint_base);
@@ -35,6 +44,11 @@ void DiscardsEverywhere(PageFile& file, Writer& writer, char* buf) {
   writer.Finish();  // expect-lint: unchecked-io
   SaveCheckpoint(3, "ckpt.bin");  // expect-lint: unchecked-io
   WriteFileAtomic("f", buf, 8, "site");  // expect-lint: unchecked-io
+}
+
+void DiscardsRecordResults(RecordWriter& w, RecordReader* r) {
+  w.Publish("f.bin", "site");  // expect-lint: unchecked-io
+  r->Open("f.bin", 1, 2, "site");  // expect-lint: unchecked-io
 }
 
 void PointerChainsAndVoidCasts(PageFile* file, Writer* writer, char* buf) {
@@ -58,6 +72,11 @@ bool ConsumesResults(PageFile& file, Writer& writer, char* buf) {
 
 Status PropagatesStatus(PageFile& file, char* buf) {
   return file.TryReadPage(4, buf);  // returned, not discarded
+}
+
+bool ConsumesRecordResults(RecordWriter& w, RecordReader& r) {
+  if (!r.Open("f.bin", 1, 2, "site").ok()) return false;
+  return w.Publish("f.bin", "site").ok();
 }
 
 // Declarations and definitions never match: the return type sits where a
