@@ -8,6 +8,7 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "core/batch_gradient_engine.h"
@@ -259,39 +260,86 @@ Status RunEpochs(const SePrivGEmbConfig& cfg, size_t num_nodes,
   return OkStatus();
 }
 
-/// AdjacencyOracle over a GraphStore: pins the center's shard on demand.
-/// Releases its previous pin BEFORE taking the next one, so together with
-/// the consumer's own sequential pin it never holds more than two — the
-/// store's minimum pool budget. The first pin failure is sticky: from then
-/// on every query answers false without touching the store, and the caller
-/// checks status() after each shard's edge walk.
-class StoreAdjacencyOracle final : public AdjacencyOracle {
+/// Algorithm 1's adjacency oracle for the out-of-core edge walk, one window
+/// of the consumer shard's edges at a time. A sample's centre is one of its
+/// edge's endpoints, so it is either in the consumer's pinned shard or the
+/// edge's far endpoint v >= node_end, and LoadWindow lists those far
+/// endpoints before any random draw is made. It pins each of their shards
+/// once, in ascending order and one at a time beside the consumer's own pin
+/// (the store's 2-page minimum), and copies their rows into a compact CSR
+/// table. The table holds at most one shard page of NodeIds, and every row
+/// fits, because each row lives inside its own shard's page; so resident
+/// state is O(|V|) degrees and marks plus one table.
+class WindowAdjacencyOracle final : public AdjacencyOracle {
  public:
-  explicit StoreAdjacencyOracle(GraphStore& store)
-      : store_(store), num_nodes_(store.num_nodes()) {}
-
-  size_t num_nodes() const override { return num_nodes_; }
-  bool HasEdge(NodeId u, NodeId v) const override {
-    if (!status_.ok()) return false;
-    const size_t s = store_.manifest().ShardOfNode(u);
-    if (s != cur_shard_) {
-      cur_ = PinnedShard();
-      status_ = store_.TryPin(s, &cur_);
-      if (!status_.ok()) return false;
-      cur_shard_ = s;
+  WindowAdjacencyOracle(GraphStore& store, const std::vector<size_t>& degree)
+      : store_(store), degree_(degree), mark_(degree.size(), 0) {
+    // In-memory stores have no page size; their largest shard bounds every
+    // row the same way.
+    capacity_ = store.manifest().page_size / sizeof(NodeId);
+    for (const GraphShardInfo& info : store.manifest().shards) {
+      capacity_ = std::max<size_t>(capacity_, info.adj_count);
     }
-    return cur_->HasEdge(u, v);
   }
 
-  /// The first pin failure, or Ok.
-  const Status& status() const { return status_; }
+  size_t num_nodes() const override { return degree_.size(); }
+
+  bool HasEdge(NodeId u, NodeId x) const override {
+    if (u < local_.node_end) return local_.HasEdge(u, x);
+    const size_t i = static_cast<size_t>(
+        std::lower_bound(ids_.begin(), ids_.end(), u) - ids_.begin());
+    SEPRIV_DCHECK(i < ids_.size() && ids_[i] == u);
+    return std::binary_search(rows_.begin() + row_offsets_[i],
+                              rows_.begin() + row_offsets_[i + 1], x);
+  }
+
+  /// Makes `local` the consumer shard and loads the foreign rows of the
+  /// longest prefix of `edges` (its canonical edges, in walk order) whose
+  /// distinct far endpoints fit in the table; `*count` (>= 1 when `edges`
+  /// is non-empty) is that prefix's length. A failed pin returns its error.
+  Status LoadWindow(const ShardView& local, std::span<const Edge> edges,
+                    size_t* count) {
+    local_ = local;
+    ++window_;
+    ids_.clear();
+    size_t entries = 0;
+    size_t n = 0;
+    for (; n < edges.size(); ++n) {
+      const NodeId v = edges[n].v;
+      if (v < local.node_end || mark_[v] == window_) continue;
+      if (entries + degree_[v] > capacity_) break;
+      mark_[v] = window_;
+      entries += degree_[v];
+      ids_.push_back(v);
+    }
+    *count = n;
+    std::sort(ids_.begin(), ids_.end());
+    rows_.clear();
+    row_offsets_.assign(1, 0);
+    const ShardManifest& manifest = store_.manifest();
+    for (size_t i = 0; i < ids_.size();) {
+      PinnedShard pin;
+      SEPRIV_RETURN_IF_ERROR(
+          store_.TryPin(manifest.ShardOfNode(ids_[i]), &pin));
+      for (; i < ids_.size() && ids_[i] < pin->node_end; ++i) {
+        const auto row = pin->Neighbors(ids_[i]);
+        rows_.insert(rows_.end(), row.begin(), row.end());
+        row_offsets_.push_back(rows_.size());
+      }
+    }
+    return OkStatus();
+  }
 
  private:
   GraphStore& store_;
-  size_t num_nodes_;
-  mutable PinnedShard cur_;
-  mutable size_t cur_shard_ = SIZE_MAX;
-  mutable Status status_;
+  const std::vector<size_t>& degree_;
+  std::vector<uint32_t> mark_;  // mark_[v] == window_: v is in this window
+  uint32_t window_ = 0;         // < |E| windows, so it never wraps
+  size_t capacity_ = 0;         // table entries: one shard page of NodeIds
+  ShardView local_;
+  std::vector<NodeId> ids_;          // the window's far endpoints, ascending
+  std::vector<size_t> row_offsets_;  // CSR offsets of ids_'s rows in rows_
+  std::vector<NodeId> rows_;
 };
 
 /// Pins every shard of `store` in order, prefetching the next one, and
@@ -505,15 +553,16 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
   // one shard scan, then per-shard proximity passes streamed into the shared
   // floor/scale reduction. The passes are cache-through, so Algorithm 1
   // reloads them warm; never more than one shard's edge table is resident.
-  std::vector<double> degrees(store.num_nodes(), 0.0);
+  std::vector<size_t> degree(store.num_nodes(), 0);
   SEPRIV_RETURN_IF_ERROR(
       ForEachShard(store, [&](size_t, const ShardView& view) {
         for (NodeId u = view.node_begin; u < view.node_end; ++u) {
-          degrees[u] = static_cast<double>(view.Degree(u));
+          degree[u] = view.Degree(u);
         }
         return OkStatus();
       }));
-  const DegreeVectorProximity provider(std::move(degrees), store.num_edges());
+  const DegreeVectorProximity provider(
+      std::vector<double>(degree.begin(), degree.end()), store.num_edges());
   const uint64_t graph_fp = store.fingerprint();
   const std::string cache_root = ooc.work_dir + "/proxcache";
   ThreadPool pool(config.ResolvedThreads());
@@ -535,11 +584,13 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
 
   // GS streams to an on-disk sample store: the generator reproduces the
   // bulk sampler's RNG stream edge by edge, and each sample is written with
-  // its p_ij weight. Resident state stays O(|V| + one shard + pool budget).
+  // its p_ij weight. Each shard's edges are generated window by window, with
+  // the window's foreign rows loaded before its first draw. Resident state
+  // stays O(|V| + one shard + one page + pool budget).
   const std::string samples_path = ooc.work_dir + "/samples.bin";
   std::unique_ptr<SampleStore> samples;
   const auto write_samples = [&](uint64_t sampler_seed) -> Status {
-    StoreAdjacencyOracle oracle(store);
+    WindowAdjacencyOracle oracle(store, degree);
     SubgraphGenerator gen(oracle, config.negatives, sampler_seed,
                           EdgeOrientation::kRandom,
                           config.negatives_exclude_neighbors);
@@ -551,20 +602,29 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
       return IoError("cannot create sample store " + samples_path);
     }
     Subgraph scratch;
+    std::vector<Edge> edges;  // the consumer shard's canonical edges
     bool ok = true;
     SEPRIV_RETURN_IF_ERROR(
         ForEachShard(store, [&](size_t s, const ShardView& view) {
           const ShardProximity sp = shard_proximities(s, view);
-          view.ForEachEdge([&](size_t e, NodeId u, NodeId v) {
-            const size_t k = e - view.edge_begin;
-            const double sym = 0.5 * (sp.forward[k] + sp.backward[k]);
-            const double w = config.normalize_proximity ? fin.Normalized(sym)
-                                                        : fin.Value(sym);
-            gen.Next(u, v, static_cast<uint32_t>(e), scratch);
-            ok = writer->Append(scratch, w) && ok;
-          });
-          // A probe pin that failed has answered "no edge" since.
-          return oracle.status();
+          edges.clear();
+          view.ForEachEdge(
+              [&](size_t, NodeId u, NodeId v) { edges.push_back({u, v}); });
+          for (size_t k = 0; k < edges.size();) {
+            size_t window = 0;
+            SEPRIV_RETURN_IF_ERROR(oracle.LoadWindow(
+                view, std::span<const Edge>(edges).subspan(k), &window));
+            for (const size_t end = k + window; k < end; ++k) {
+              const double sym = 0.5 * (sp.forward[k] + sp.backward[k]);
+              const double w = config.normalize_proximity
+                                   ? fin.Normalized(sym)
+                                   : fin.Value(sym);
+              gen.Next(edges[k].u, edges[k].v,
+                       static_cast<uint32_t>(view.edge_begin + k), scratch);
+              ok = writer->Append(scratch, w) && ok;
+            }
+          }
+          return OkStatus();
         }));
     ok = writer->Finish() && ok;
     if (ok) return OkStatus();
@@ -581,10 +641,8 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
       /*resident_weights=*/nullptr,
       [&](uint64_t sampler_seed, SampleSource** out_samples) -> Status {
         SEPRIV_RETURN_IF_ERROR(write_samples(sampler_seed));
-        samples = SampleStore::Open(samples_path, ooc.sample_pool_pages);
-        if (samples == nullptr) {
-          return CorruptionError("cannot open sample store " + samples_path);
-        }
+        SEPRIV_RETURN_IF_ERROR(SampleStore::TryOpen(
+            samples_path, ooc.sample_pool_pages, &samples));
         *out_samples = samples.get();
         return OkStatus();
       }};

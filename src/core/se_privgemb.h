@@ -163,8 +163,11 @@ struct OutOfCoreTrainOptions {
 /// Algorithm 2 against a (possibly disk-resident) GraphStore: proximities
 /// run shard-at-a-time through the per-shard cache, GS streams through an
 /// on-disk sample store, and epochs page samples through a fixed-budget
-/// buffer pool — resident state is O(|V| + one shard + pool budget), never
-/// O(|E|). Only ProximityKind::kPreferentialAttachment is supported (the
+/// buffer pool. Algorithm 1 walks each shard's edges in windows: before a
+/// window's first draw it pins every shard holding a far endpoint's row
+/// once, beside the walked shard, and copies those rows into a side table
+/// of at most one shard page — resident state is O(|V| + one shard + one
+/// page + pool budget), never O(|E|). Only ProximityKind::kPreferentialAttachment is supported (the
 /// one preference whose oracle state is node-level: the degree vector).
 /// For identical (store contents, config), the returned result — model
 /// bits, loss curve, accounting — is identical to SePrivGEmb::Train() on
@@ -177,8 +180,8 @@ TrainResult TrainOutOfCore(GraphStore& store, ProximityKind preference,
                            const ProximityOptions& prox_opts = {});
 
 /// Recoverable form of TrainOutOfCore: storage failures that survive the
-/// stack's bounded retries (shard/sample-page IO — including the negative
-/// sampler's adjacency probes — sample-store writes, checkpoint publishes)
+/// stack's bounded retries (shard/sample-page IO — including Algorithm 1's
+/// window row loads — sample-store writes, checkpoint publishes)
 /// surface as a structured error instead of aborting, and `ooc.checkpoint`
 /// enables crash-safe resume. On error `*out` holds no usable model.
 SEPRIV_DP_SANITIZER

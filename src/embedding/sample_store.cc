@@ -1,19 +1,20 @@
 #include "embedding/sample_store.h"
 
 #include <cstring>
-#include <fstream>
+#include <string>
 
 #include "util/check.h"
 #include "util/digest.h"
 #include "util/failpoint.h"
+#include "util/record_file.h"
 
 namespace sepriv {
 namespace {
 
 constexpr uint64_t kMagic = 0x53455056534D504CULL;  // "SEPVSMPL"
 constexpr uint64_t kVersion = 1;
-constexpr size_t kHeaderWords = 8;
-constexpr size_t kHeaderBytes = kHeaderWords * sizeof(uint64_t);
+// The header frame: magic, version, five u64 fields, digest trailer.
+constexpr size_t kHeaderBytes = 8 * sizeof(uint64_t);
 constexpr size_t kDataPageHeaderBytes = sizeof(uint64_t);  // page checksum
 
 // Record field offsets (see the layout comment in the header).
@@ -148,16 +149,16 @@ bool SampleStoreWriter::Finish() {
       return false;
     }
   }
+  RecordWriter frame(kMagic, kVersion);
+  frame.Put<uint64_t>(num_samples_);
+  frame.Put<uint64_t>(k_);
+  frame.Put<uint64_t>(record_bytes_);
+  frame.Put<uint64_t>(samples_per_page_);
+  frame.Put<uint64_t>(file_->page_size());
+  const std::string bytes = frame.Seal();
+  SEPRIV_DCHECK(bytes.size() == kHeaderBytes);
   std::vector<std::byte> header(file_->page_size());
-  StoreWord(header.data() + 0 * sizeof(uint64_t), kMagic);
-  StoreWord(header.data() + 1 * sizeof(uint64_t), kVersion);
-  StoreWord(header.data() + 2 * sizeof(uint64_t), num_samples_);
-  StoreWord(header.data() + 3 * sizeof(uint64_t), k_);
-  StoreWord(header.data() + 4 * sizeof(uint64_t), record_bytes_);
-  StoreWord(header.data() + 5 * sizeof(uint64_t), samples_per_page_);
-  StoreWord(header.data() + 6 * sizeof(uint64_t), file_->page_size());
-  StoreWord(header.data() + 7 * sizeof(uint64_t),
-            FnvDigest(header.data(), 7 * sizeof(uint64_t)));
+  std::memcpy(header.data(), bytes.data(), bytes.size());
   Status publish = file_->TryWritePage(0, header.data());
   if (publish.ok()) publish = file_->TrySync();
   if (!publish.ok()) {
@@ -187,42 +188,51 @@ SampleStore::SampleStore(std::unique_ptr<PageFile> file, size_t budget_pages,
       });
 }
 
-std::unique_ptr<SampleStore> SampleStore::Open(const std::string& path,
-                                               size_t budget_pages) {
-  // Bootstrap: the page size lives in the header, so read the fixed-size
-  // header prefix with plain I/O before the PageFile can be opened.
-  std::byte raw[kHeaderBytes];
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in || !in.read(reinterpret_cast<char*>(raw), sizeof(raw))) {
-      return nullptr;
+Status SampleStore::TryOpen(const std::string& path, size_t budget_pages,
+                            std::unique_ptr<SampleStore>* out) {
+  // Bootstrap: the page size lives in the header frame, so the frame is
+  // read before the file can be opened as pages, through the same read site
+  // and with the same bounded re-reads of a fault or a failed check as the
+  // pool gives the data pages.
+  RecordReader r;
+  Status read;
+  for (size_t attempt = 1; attempt <= BufferPool::kMaxIoAttempts; ++attempt) {
+    std::string head(kHeaderBytes, '\0');
+    read = PageFile::TryReadPrefix(path, head.size(), head.data());
+    if (read.ok()) read = r.Parse(std::move(head), kMagic, kVersion, path);
+    if (read.ok() ||
+        !(read.transient() || read.code() == StatusCode::kCorruption)) {
+      break;
     }
   }
-  if (LoadWord(raw + 0 * sizeof(uint64_t)) != kMagic) return nullptr;
-  if (LoadWord(raw + 1 * sizeof(uint64_t)) != kVersion) return nullptr;
-  if (LoadWord(raw + 7 * sizeof(uint64_t)) !=
-      FnvDigest(raw, 7 * sizeof(uint64_t))) {
-    return nullptr;
-  }
-  const uint64_t num_samples = LoadWord(raw + 2 * sizeof(uint64_t));
-  const uint64_t k = LoadWord(raw + 3 * sizeof(uint64_t));
-  const uint64_t record_bytes = LoadWord(raw + 4 * sizeof(uint64_t));
-  const uint64_t samples_per_page = LoadWord(raw + 5 * sizeof(uint64_t));
-  const uint64_t page_size = LoadWord(raw + 6 * sizeof(uint64_t));
-  if (page_size < kHeaderBytes || record_bytes != SampleRecordBytes(k) ||
-      samples_per_page == 0 ||
+  SEPRIV_RETURN_IF_ERROR(read);
+  const uint64_t num_samples = r.Get<uint64_t>();
+  const uint64_t k = r.Get<uint64_t>();
+  const uint64_t record_bytes = r.Get<uint64_t>();
+  const uint64_t samples_per_page = r.Get<uint64_t>();
+  const uint64_t page_size = r.Get<uint64_t>();
+  if (!r.Done() || page_size < kHeaderBytes ||
+      record_bytes != SampleRecordBytes(k) || samples_per_page == 0 ||
       samples_per_page !=
           (page_size - kDataPageHeaderBytes) / record_bytes) {
-    return nullptr;
+    return CorruptionError(path + ": inconsistent sample store geometry");
   }
   const uint64_t num_data_pages =
       (num_samples + samples_per_page - 1) / samples_per_page;
   auto file = PageFile::Open(path, page_size);
-  if (!file) return nullptr;
-  if (file->num_pages() != 1 + num_data_pages) return nullptr;
-  return std::unique_ptr<SampleStore>(new SampleStore(
-      std::move(file), budget_pages, num_samples, k, record_bytes,
-      samples_per_page, num_data_pages));
+  if (!file || file->num_pages() != 1 + num_data_pages) {
+    return CorruptionError(path + ": sample store size disagrees with its "
+                           "header");
+  }
+  out->reset(new SampleStore(std::move(file), budget_pages, num_samples, k,
+                             record_bytes, samples_per_page, num_data_pages));
+  return OkStatus();
+}
+
+std::unique_ptr<SampleStore> SampleStore::Open(const std::string& path,
+                                               size_t budget_pages) {
+  std::unique_ptr<SampleStore> store;
+  return TryOpen(path, budget_pages, &store).ok() ? std::move(store) : nullptr;
 }
 
 Status SampleStore::TryPinShard(size_t s) {

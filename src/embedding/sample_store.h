@@ -10,9 +10,11 @@
 // training's sample memory at (pool budget) pages regardless of |E|.
 //
 // Layout (all little-endian, the only architecture the project targets):
-//   page 0        — header words: magic, version, num_samples, k,
-//                   record_bytes, samples_per_page, page_size, checksum
-//                   (FnvDigest of the preceding words).
+//   page 0        — header: one util/record_file.h frame (magic, version,
+//                   num_samples, k, record_bytes, samples_per_page,
+//                   page_size, FnvDigest of the preceding words), read
+//                   through PageFile's "page_file.read" site like the data
+//                   pages.
 //   pages 1..P    — data pages: word 0 = FnvDigest of bytes [8, page_size),
 //                   then samples_per_page records back to back.
 //   record        — u32 center, u32 context, u32 edge_index, u32 k,
@@ -96,11 +98,16 @@ class SampleStoreWriter {
 /// of the pinned frame, safe from concurrent pool workers).
 class SampleStore final : public SampleSource {
  public:
-  /// Opens `path`, validating the header (magic, version, checksum, record
-  /// geometry vs file size). `budget_pages` = 0 resolves SEPRIV_POOL_PAGES
-  /// (fallback 4); the effective budget is clamped to >= 2 so the pinned
-  /// page and a prefetched page can coexist. Returns nullptr on any
-  /// validation or I/O failure.
+  /// Opens `path` into `*out`, validating the header (magic, version,
+  /// checksum, record geometry vs file size). `budget_pages` = 0 resolves
+  /// SEPRIV_POOL_PAGES (fallback 4); the effective budget is clamped to
+  /// >= 2 so the pinned page and a prefetched page can coexist. The header
+  /// read gets the pool's bounded re-reads; a fault that outlasts them
+  /// surfaces with its own code, a bad header or size as kCorruption.
+  static Status TryOpen(const std::string& path, size_t budget_pages,
+                        std::unique_ptr<SampleStore>* out);
+
+  /// TryOpen that returns nullptr on any failure.
   static std::unique_ptr<SampleStore> Open(const std::string& path,
                                            size_t budget_pages = 0);
 

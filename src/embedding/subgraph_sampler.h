@@ -39,13 +39,16 @@ enum class EdgeOrientation {
 };
 
 /// The adjacency questions Algorithm 1 asks — the only graph access the
-/// generator needs, so an out-of-core store can answer from a pinned shard.
+/// generator needs, so an out-of-core store can answer from resident rows.
 class AdjacencyOracle {
  public:
   virtual ~AdjacencyOracle() = default;
   virtual size_t num_nodes() const = 0;
-  /// Whether the undirected edge {u, v} exists. Called with u = a sample's
-  /// center, so shard-aware implementations should keep u's shard pinned.
+  /// Whether the undirected edge {u, v} exists. Next() only asks with u =
+  /// the sample's center, which is one endpoint of the edge passed to it,
+  /// so an implementation needs only those two endpoints' rows resident
+  /// for that call; the out-of-core trainer loads them ahead, a window of
+  /// edges at a time, before the generator draws.
   virtual bool HasEdge(NodeId u, NodeId v) const = 0;
 };
 

@@ -27,6 +27,7 @@ struct Rule {
   // Trigger selection: exactly one of the three modes.
   bool every_hit = false;
   uint64_t nth_hit = 0;      // 1-based; 0 ⇒ not an @N rule
+  bool and_after = false;     // @N+: every hit from the Nth on
   double probability = -1.0;  // < 0 ⇒ not probabilistic
   Rng rng{0};                 // stream for probabilistic rules
   uint64_t hits = 0;
@@ -77,7 +78,7 @@ bool ParseProbability(const std::string& s, double* out) {
   return true;
 }
 
-/// Parses one `name=action[~P][@N]` rule. Returns false on malformed input.
+/// Parses one `name=action[~P][@N[+]]` rule. Returns false on malformed input.
 bool ParseRule(const std::string& text, std::string* name, Rule* rule) {
   const size_t eq = text.find('=');
   if (eq == std::string::npos || eq == 0) return false;
@@ -111,6 +112,10 @@ bool ParseRule(const std::string& text, std::string* name, Rule* rule) {
     return true;
   }
   if (!at_suffix.empty()) {
+    if (at_suffix.back() == '+') {
+      rule->and_after = true;
+      at_suffix.pop_back();
+    }
     if (!ParseU64(at_suffix, &rule->nth_hit) || rule->nth_hit == 0) {
       return false;
     }
@@ -177,7 +182,8 @@ Action EvaluateSlow(const char* name) {
   if (rule.every_hit) {
     fire = true;
   } else if (rule.nth_hit != 0) {
-    fire = rule.hits == rule.nth_hit;
+    fire = rule.and_after ? rule.hits >= rule.nth_hit
+                          : rule.hits == rule.nth_hit;
   } else if (rule.probability >= 0.0) {
     fire = rule.rng.Bernoulli(rule.probability);
   }

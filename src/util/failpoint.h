@@ -11,6 +11,8 @@
 //
 //   name=action          fire on every hit
 //   name=action@N        fire on the Nth hit only (1-based, one-shot)
+//   name=action@N+       fire on the Nth hit and every hit after it (a
+//                        fault that outlasts the callers' bounded retries)
 //   name=action~P        fire each hit with probability P (seeded Rng)
 //   name=action~P@SEED   same, with an explicit stream seed
 //

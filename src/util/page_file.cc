@@ -56,6 +56,41 @@ Status ErrnoIoStatus(const char* op, const std::string& path, int err) {
   return IoError(msg);
 }
 
+/// The one read path of TryReadPage and TryReadPrefix: `len` bytes at
+/// `offset`, through the "page_file.read" fault-injection site.
+Status ReadRange(int fd, const std::string& path, void* out, size_t len,
+                 off_t offset) {
+  bool torn = false;
+  switch (failpoint::Evaluate("page_file.read")) {
+    case failpoint::Action::kError:
+    case failpoint::Action::kEnospc:
+      return IoError("injected read failure on " + path);
+    case failpoint::Action::kCrash:
+      failpoint::CrashNow();
+    case failpoint::Action::kTorn:
+      torn = true;
+      break;
+    case failpoint::Action::kNone:
+      break;
+  }
+  switch (FullPread(fd, out, len, offset)) {
+    case XferResult::kOk:
+      break;
+    case XferResult::kEof:
+      return CorruptionError("short read: " + path + " truncated mid-page");
+    case XferResult::kErr:
+      return ErrnoIoStatus("pread", path, errno);
+  }
+  if (torn) {
+    // The read "succeeds" but the returned bytes are rotted: flip one bit
+    // early in the page — inside the header/checksum region every consumer
+    // verifies — so the caller's checksum layer must reject it. (The middle
+    // of the page can be zero padding a payload checksum doesn't cover.)
+    static_cast<char*>(out)[len > 16 ? 16 : len / 2] ^= 0x40;
+  }
+  return OkStatus();
+}
+
 }  // namespace
 
 std::unique_ptr<PageFile> PageFile::Create(const std::string& path,
@@ -89,36 +124,17 @@ Status PageFile::TryReadPage(size_t index, void* out) const {
   if (index >= num_pages_) {
     return FailedPreconditionError("read past end of " + path_);
   }
-  bool torn = false;
-  switch (failpoint::Evaluate("page_file.read")) {
-    case failpoint::Action::kError:
-    case failpoint::Action::kEnospc:
-      return IoError("injected read failure on " + path_);
-    case failpoint::Action::kCrash:
-      failpoint::CrashNow();
-    case failpoint::Action::kTorn:
-      torn = true;
-      break;
-    case failpoint::Action::kNone:
-      break;
-  }
-  switch (FullPread(fd_, out, page_size_,
-                    static_cast<off_t>(index * page_size_))) {
-    case XferResult::kOk:
-      break;
-    case XferResult::kEof:
-      return CorruptionError("short read: " + path_ + " truncated mid-page");
-    case XferResult::kErr:
-      return ErrnoIoStatus("pread", path_, errno);
-  }
-  if (torn) {
-    // The read "succeeds" but the returned bytes are rotted: flip one bit
-    // early in the page — inside the header/checksum region every consumer
-    // verifies — so the caller's checksum layer must reject it. (The middle
-    // of the page can be zero padding a payload checksum doesn't cover.)
-    static_cast<char*>(out)[page_size_ > 16 ? 16 : page_size_ / 2] ^= 0x40;
-  }
-  return OkStatus();
+  return ReadRange(fd_, path_, out, page_size_,
+                   static_cast<off_t>(index * page_size_));
+}
+
+Status PageFile::TryReadPrefix(const std::string& path, size_t len,
+                               void* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return ErrnoIoStatus("open", path, errno);
+  const Status read = ReadRange(fd, path, out, len, 0);
+  ::close(fd);
+  return read;
 }
 
 Status PageFile::TryWritePage(size_t index, const void* data) {

@@ -46,6 +46,12 @@ class PageFile {
   /// corrupted so the caller's checksum must catch it).
   Status TryReadPage(size_t index, void* out) const;
 
+  /// Reads the first `len` bytes of the file at `path`: the bootstrap read
+  /// of a format that records its own page size in its first page, before
+  /// the file can be opened as pages. Same fault-injection site and error
+  /// codes as TryReadPage (kCorruption when the file is shorter than `len`).
+  static Status TryReadPrefix(const std::string& path, size_t len, void* out);
+
   /// Writes page `index` from `data` (page_size bytes). Extends the file
   /// when index == num_pages(). Not thread-safe against other writers.
   /// ENOSPC surfaces as kNoSpace. Fault-injection site: "page_file.write"

@@ -1,6 +1,7 @@
 #include "util/record_file.h"
 
 #include <cstring>
+#include <utility>
 
 #include "util/atomic_file.h"
 #include "util/digest.h"
@@ -14,10 +15,15 @@ RecordWriter::RecordWriter(uint64_t magic, uint64_t version,
   Put(version);
 }
 
+std::string RecordWriter::Seal() {
+  Put(FnvDigest(buf_.data(), buf_.size()));
+  return std::move(buf_);
+}
+
 Status RecordWriter::Publish(const std::string& path,
                              const char* failpoint_base) {
-  Put(FnvDigest(buf_.data(), buf_.size()));
-  return WriteFileAtomic(path, buf_.data(), buf_.size(), failpoint_base);
+  const std::string frame = Seal();
+  return WriteFileAtomic(path, frame.data(), frame.size(), failpoint_base);
 }
 
 Status RecordReader::Open(const std::string& path, uint64_t magic,
@@ -25,8 +31,21 @@ Status RecordReader::Open(const std::string& path, uint64_t magic,
   ok_ = false;
   pos_ = end_ = 0;
   SEPRIV_RETURN_IF_ERROR(ReadFileToString(path, &buf_, failpoint_base));
+  return Verify(magic, version, path);
+}
+
+Status RecordReader::Parse(std::string bytes, uint64_t magic,
+                           uint64_t version, const std::string& name) {
+  buf_ = std::move(bytes);
+  return Verify(magic, version, name);
+}
+
+Status RecordReader::Verify(uint64_t magic, uint64_t version,
+                            const std::string& name) {
+  ok_ = false;
+  pos_ = end_ = 0;
   if (buf_.size() < 3 * sizeof(uint64_t)) {
-    return CorruptionError(path + ": too short for a record file");
+    return CorruptionError(name + ": too short for a record file");
   }
   // The digest first: a torn or rotted file fails here before any field
   // (the magic and version included) is trusted.
@@ -34,12 +53,12 @@ Status RecordReader::Open(const std::string& path, uint64_t magic,
   uint64_t stored = 0;
   std::memcpy(&stored, buf_.data() + end_, sizeof(stored));
   if (FnvDigest(buf_.data(), end_) != stored) {
-    return CorruptionError(path + ": checksum mismatch (torn or rotted)");
+    return CorruptionError(name + ": checksum mismatch (torn or rotted)");
   }
   ok_ = true;
-  if (Get<uint64_t>() != magic) return CorruptionError(path + ": bad magic");
+  if (Get<uint64_t>() != magic) return CorruptionError(name + ": bad magic");
   if (Get<uint64_t>() != version) {
-    return CorruptionError(path + ": unsupported format version");
+    return CorruptionError(name + ": unsupported format version");
   }
   return OkStatus();
 }

@@ -8,9 +8,11 @@
 //
 // RecordWriter appends fixed-width fields to an in-memory buffer and
 // publishes it with WriteFileAtomic (write-temp + fsync + rename + directory
-// fsync), so a crash leaves the old file or the new one, never a torn one.
-// RecordReader::Open reads the whole file and checks the trailing digest,
-// then the magic, then the version, before any field is handed out. Every
+// fsync), so a crash leaves the old file or the new one, never a torn one;
+// Seal hands the frame back instead, for a format that stores it inside a
+// page of its own file. RecordReader::Open reads the whole file (Parse takes
+// bytes already read) and checks the trailing digest, then the magic, then
+// the version, before any field is handed out. Every
 // later read is bounds-checked against the payload and trips a sticky
 // failure flag instead of touching memory past it; counts read through
 // GetCount are checked against the bytes left before a caller can multiply
@@ -45,6 +47,11 @@ class RecordWriter {
     if (len != 0) buf_.append(static_cast<const char*>(data), len);
   }
 
+  /// Appends the digest trailer and returns the framed bytes, for a frame
+  /// stored inside a larger file (the sample store's header page). The
+  /// writer must not be reused.
+  std::string Seal();
+
   /// Appends the digest trailer and atomically, durably replaces `path`.
   /// `failpoint_base` names the WriteFileAtomic fault-injection family
   /// (`<base>.{write,sync,rename}`). The writer must not be reused.
@@ -63,6 +70,11 @@ class RecordReader {
   /// (torn ⇒ the digest rejects the bytes).
   Status Open(const std::string& path, uint64_t magic, uint64_t version,
               const char* failpoint_base);
+
+  /// Verifies the frame of `bytes` already in memory, as Open does for a
+  /// file's bytes; `name` labels the errors.
+  Status Parse(std::string bytes, uint64_t magic, uint64_t version,
+               const std::string& name);
 
   /// Next field; value-initialised T (and the failure flag) past the end.
   template <typename T>
@@ -92,6 +104,8 @@ class RecordReader {
   bool Done() const { return ok_ && pos_ == end_; }
 
  private:
+  Status Verify(uint64_t magic, uint64_t version, const std::string& name);
+
   std::string buf_;
   size_t pos_ = 0;
   size_t end_ = 0;  // start of the digest trailer

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "util/math_util.h"
@@ -72,8 +73,10 @@ TEST_P(ClippingInvariantTest, RandomGradientsNeverExceedC) {
 INSTANTIATE_TEST_SUITE_P(Thresholds, ClippingInvariantTest,
                          ::testing::Values(0.5, 1.0, 2.0, 4.0, 6.0),
                          [](const auto& info) {
-                           return "C" + std::to_string(static_cast<int>(
-                                            info.param * 10));
+                           std::string name = "C";
+                           name += std::to_string(
+                               static_cast<int>(info.param * 10));
+                           return name;
                          });
 
 }  // namespace

@@ -54,6 +54,17 @@ TEST_F(FailpointTest, NthHitFiresExactlyOnce) {
   EXPECT_EQ(failpoint::FireCount("site"), 1u);
 }
 
+TEST_F(FailpointTest, NthHitPlusFiresFromThenOn) {
+  ASSERT_TRUE(failpoint::SetSpec("site=err@3+"));
+  EXPECT_EQ(failpoint::Evaluate("site"), failpoint::Action::kNone);
+  EXPECT_EQ(failpoint::Evaluate("site"), failpoint::Action::kNone);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(failpoint::Evaluate("site"), failpoint::Action::kError);
+  }
+  EXPECT_EQ(failpoint::HitCount("site"), 7u);
+  EXPECT_EQ(failpoint::FireCount("site"), 5u);
+}
+
 TEST_F(FailpointTest, ProbabilisticScheduleIsSeededAndBounded) {
   // p=0 never fires; p=1 always fires.
   ASSERT_TRUE(failpoint::SetSpec("never=err~0.0,always=err~1.0"));
@@ -87,6 +98,8 @@ TEST_F(FailpointTest, InvalidSpecsRejectedAtomically) {
   EXPECT_FALSE(failpoint::SetSpec("missing_action"));
   EXPECT_FALSE(failpoint::SetSpec("a=unknown_action"));
   EXPECT_FALSE(failpoint::SetSpec("a=err@"));
+  EXPECT_FALSE(failpoint::SetSpec("a=err@+"));
+  EXPECT_FALSE(failpoint::SetSpec("a=err@0+"));
   EXPECT_FALSE(failpoint::SetSpec("a=err~1.5"));
   EXPECT_FALSE(failpoint::SetSpec("a=err~-0.5"));
   // All-or-nothing: a bad rule in a list must not arm the good ones.

@@ -262,6 +262,59 @@ TEST_F(FaultInjectionTest, SampleStoreRereadsTornDataPage) {
   EXPECT_FALSE(store->TryPinShard(1).ok());
 }
 
+// The sample store's header goes through the same page-read site as its
+// data pages: one torn read is re-read, a tear that outlasts the re-reads
+// fails the open, and the trainer returns that error instead of aborting.
+TEST_F(FaultInjectionTest, TornSampleStoreHeaderFailsOpenAndTraining) {
+  const std::string path = root_ + "/header.bin";
+  Subgraph s;
+  s.negatives = {4, 5};
+  {
+    auto writer = SampleStoreWriter::Create(path, 2, 4096);
+    ASSERT_NE(writer, nullptr);
+    for (uint32_t i = 0; i < 50; ++i) {
+      s.center = i;
+      s.context = i + 1;
+      s.edge_index = i;
+      // sepriv-privflow: allow(leak): synthetic samples serialized into a test temp dir
+      ASSERT_TRUE(writer->Append(s, 1.0));
+    }
+    ASSERT_TRUE(writer->Finish());
+  }
+  ASSERT_TRUE(failpoint::SetSpec("page_file.read=torn@1"));
+  EXPECT_NE(SampleStore::Open(path, 2), nullptr);
+  EXPECT_EQ(failpoint::FireCount("page_file.read"), 1u);
+
+  ASSERT_TRUE(failpoint::SetSpec("page_file.read=torn"));
+  std::unique_ptr<SampleStore> store;
+  EXPECT_EQ(SampleStore::TryOpen(path, 2, &store).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(store, nullptr);
+  EXPECT_EQ(failpoint::FireCount("page_file.read"),
+            BufferPool::kMaxIoAttempts);
+
+  // An in-memory graph store reads no pages, so every page read of this
+  // run is a header read of the sample store it has just written.
+  const Graph g = BarabasiAlbert(120, 3, /*seed=*/14);
+  InMemoryGraphStore graph_store(g, 2);
+  SePrivGEmbConfig cfg;
+  cfg.dim = 8;
+  cfg.batch_size = 16;
+  cfg.max_epochs = 1;
+  cfg.negatives = 2;
+  cfg.proximity_cache_path = "-";
+  OutOfCoreTrainOptions ooc;
+  ooc.work_dir = root_ + "/header_work";
+  ooc.sample_page_bytes = 4096;
+  ASSERT_TRUE(failpoint::SetSpec("page_file.read=torn"));
+  TrainResult result;
+  const Status status = TryTrainOutOfCore(
+      graph_store, ProximityKind::kPreferentialAttachment, cfg, ooc, &result);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_EQ(failpoint::FireCount("page_file.read"),
+            BufferPool::kMaxIoAttempts);
+}
+
 // --- Manifest + proximity caches: reject-don't-trust ------------------------
 
 TEST_F(FaultInjectionTest, TornManifestReadIsRejectedNotTrusted) {

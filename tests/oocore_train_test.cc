@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -17,6 +18,8 @@
 #include "graph/generators.h"
 #include "graph/shard.h"
 #include "util/digest.h"
+#include "util/failpoint.h"
+#include "util/status.h"
 #include "test_dir.h"
 
 namespace sepriv {
@@ -38,6 +41,54 @@ struct TrainDigest {
 
   bool operator==(const TrainDigest&) const = default;
 };
+
+/// What Algorithm 1's out-of-core walk does with each consumer shard's
+/// edges, replayed on the resident graph: a window spans the longest run of
+/// edges whose distinct far endpoints (v >= the shard's node_end) have rows
+/// that fit together in one shard page of NodeIds, and it pins each shard
+/// holding one of those rows once.
+struct WindowPlan {
+  size_t windows = 0;
+  size_t foreign_pins = 0;  // distinct foreign shards, summed over windows
+  size_t hub_windows = 0;   // windows holding a far row of > half a page
+};
+
+WindowPlan PlanWindows(const Graph& g, const ShardManifest& manifest) {
+  const size_t capacity = manifest.page_size / sizeof(NodeId);
+  WindowPlan plan;
+  std::set<NodeId> ids;
+  size_t entries = 0;
+  const auto close = [&] {
+    std::set<size_t> shards;
+    bool hub = false;
+    for (const NodeId v : ids) {
+      shards.insert(manifest.ShardOfNode(v));
+      hub = hub || 2 * g.Degree(v) > capacity;
+    }
+    ++plan.windows;
+    plan.foreign_pins += shards.size();
+    plan.hub_windows += hub;
+    ids.clear();
+    entries = 0;
+  };
+  for (const GraphShardInfo& info : manifest.shards) {
+    bool open = false;
+    for (auto u = static_cast<NodeId>(info.node_begin); u < info.node_end;
+         ++u) {
+      for (const NodeId v : g.Neighbors(u)) {
+        if (v <= u) continue;
+        if (v >= info.node_end && ids.count(v) == 0) {
+          if (entries + g.Degree(v) > capacity) close();
+          ids.insert(v);
+          entries += g.Degree(v);
+        }
+        open = true;
+      }
+    }
+    if (open) close();
+  }
+  return plan;
+}
 
 class OocoreTrainTest : public ::testing::Test {
  protected:
@@ -142,6 +193,171 @@ TEST_F(OocoreTrainTest, MatchesInMemoryForOtherPerturbationAndNormalization) {
         *store, ProximityKind::kPreferentialAttachment, cfg, ooc));
     EXPECT_EQ(got, ref);
   }
+}
+
+// Algorithm 1 pins each foreign shard once per window, so the graph pool's
+// misses are bounded by the pins the window plan makes: three sequential
+// shard walks (degree scan, proximity pass, the sample walk's consumer
+// shards) plus one pin per foreign shard of every window. Re-pinning the
+// centre's shard for every foreign-centred sample made ~6k misses here.
+TEST_F(OocoreTrainTest, AlgorithmOneGraphPoolMissesStayWithinTheWindowPlan) {
+  const Graph g = BarabasiAlbert(4000, 5, /*seed=*/1);
+  const std::string root = TempDirFor("pins");
+  const std::string shard_dir = root + "/g";
+  std::filesystem::create_directories(root);
+  ASSERT_TRUE(WriteGraphShards(g, shard_dir, 16));
+  auto store = SsdGraphStore::Open(shard_dir, /*budget_pages=*/2);
+  ASSERT_NE(store, nullptr);
+  const size_t num_shards = store->num_shards();
+  const WindowPlan plan = PlanWindows(g, store->manifest());
+
+  SePrivGEmbConfig cfg = BaseConfig();
+  cfg.max_epochs = 1;
+  cfg.num_threads = 1;
+  OutOfCoreTrainOptions ooc;
+  ooc.work_dir = root + "/work";
+  ooc.sample_page_bytes = 4096;
+  TrainResult result;
+  ASSERT_TRUE(TryTrainOutOfCore(*store, ProximityKind::kPreferentialAttachment,
+                                cfg, ooc, &result)
+                  .ok());
+  const uint64_t bound = 3 * num_shards + plan.foreign_pins;
+  EXPECT_LE(store->pool().stats().misses, bound)
+      << plan.windows << " windows, " << plan.foreign_pins << " foreign pins";
+  EXPECT_LT(bound, 1000u);
+}
+
+// Small pages and many shards split every consumer shard's edges into many
+// windows. A star-heavy graph puts two hubs at the top of the id range, each
+// joined to half of a ring of leaves: a hub's row, more than half a page, is
+// foreign to every leaf shard and leaves no room in its window for the other
+// hub. Both must reproduce Train() bit for bit.
+TEST_F(OocoreTrainTest, WindowedAlgorithmOneMatchesInMemoryTraining) {
+  std::vector<Edge> star_edges;
+  const size_t leaves = 1200;
+  for (size_t v = 0; v < leaves; ++v) {
+    star_edges.push_back({static_cast<NodeId>(v),
+                          static_cast<NodeId>((v + 1) % leaves)});
+    star_edges.push_back({static_cast<NodeId>(v),
+                          static_cast<NodeId>(leaves + 2 * v / leaves)});
+  }
+  struct Case {
+    const char* name;
+    Graph graph;
+    size_t shards;
+  };
+  const Case cases[] = {
+      {"many_shards", BarabasiAlbert(1500, 4, /*seed=*/26), 24},
+      {"star_heavy", Graph::FromEdges(leaves + 2, std::move(star_edges)), 8},
+  };
+  const std::string root = TempDirFor("windows");
+  std::filesystem::create_directories(root);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string shard_dir = root + "/" + c.name;
+    ASSERT_TRUE(WriteGraphShards(c.graph, shard_dir, c.shards));
+    auto store = SsdGraphStore::Open(shard_dir, /*budget_pages=*/2);
+    ASSERT_NE(store, nullptr);
+    const WindowPlan plan = PlanWindows(c.graph, store->manifest());
+    if (std::string(c.name) == "star_heavy") {
+      EXPECT_GT(plan.hub_windows, 0u);
+    } else {
+      EXPECT_GT(plan.windows, 2 * c.shards);
+    }
+
+    SePrivGEmbConfig cfg = BaseConfig();
+    cfg.num_threads = 1;
+    SePrivGEmb ref_trainer(c.graph, ProximityKind::kPreferentialAttachment,
+                           cfg);
+    const TrainDigest ref(ref_trainer.Train());
+    OutOfCoreTrainOptions ooc;
+    ooc.work_dir = root + "/work_" + c.name;
+    ooc.sample_page_bytes = 4096;
+    const TrainDigest got(TrainOutOfCore(
+        *store, ProximityKind::kPreferentialAttachment, cfg, ooc));
+    EXPECT_EQ(got, ref);
+  }
+}
+
+/// Serves a store's pins but drops its prefetch hints, so every page read
+/// runs on the caller's thread in a fixed order, and logs each pin with the
+/// page-read failpoint's hit count before it.
+class PinLog final : public GraphStore {
+ public:
+  explicit PinLog(GraphStore& inner) : inner_(inner) {}
+  const ShardManifest& manifest() const override { return inner_.manifest(); }
+  Status TryPin(size_t s, PinnedShard* out) override {
+    const uint64_t reads = failpoint::HitCount("page_file.read");
+    const Status status = inner_.TryPin(s, out);
+    pins.push_back({s, reads, status.ok()});
+    return status;
+  }
+
+  struct Pin {
+    size_t shard;
+    uint64_t reads_before;
+    bool ok;
+  };
+  std::vector<Pin> pins;
+
+ private:
+  GraphStore& inner_;
+};
+
+// A read fault that outlasts the pool's re-reads, landing on the first
+// window's row load, ends training with kIoError instead of an abort.
+TEST_F(OocoreTrainTest, PersistentFaultOnAWindowRowLoadSurfacesAsIoError) {
+  const Graph g = BarabasiAlbert(300, 4, /*seed=*/27);
+  const std::string root = TempDirFor("window_fault");
+  const std::string shard_dir = root + "/g";
+  std::filesystem::create_directories(root);
+  ASSERT_TRUE(WriteGraphShards(g, shard_dir, 4));
+  SePrivGEmbConfig cfg = BaseConfig();
+  cfg.num_threads = 1;
+  OutOfCoreTrainOptions ooc;
+  ooc.sample_page_bytes = 4096;
+
+  // Count the page reads up to that load: a rule that never fires still
+  // counts its hits. The degree scan and the proximity pass pin every shard
+  // once each; then the sample walk pins consumer shard 0 and the first
+  // window's first foreign shard.
+  const size_t num_shards = 4;
+  ASSERT_TRUE(failpoint::SetSpec("page_file.read=err@1000000000"));
+  uint64_t fault_at = 0;
+  {
+    auto ssd = SsdGraphStore::Open(shard_dir, /*budget_pages=*/2);
+    ASSERT_NE(ssd, nullptr);
+    PinLog store(*ssd);
+    ooc.work_dir = root + "/count";
+    TrainResult result;
+    ASSERT_TRUE(TryTrainOutOfCore(store, ProximityKind::kPreferentialAttachment,
+                                  cfg, ooc, &result)
+                    .ok());
+    ASSERT_GT(store.pins.size(), 2 * num_shards + 2);
+    const PinLog::Pin& consumer = store.pins[2 * num_shards];
+    const PinLog::Pin& row_load = store.pins[2 * num_shards + 1];
+    ASSERT_EQ(consumer.shard, 0u);
+    ASSERT_GT(row_load.shard, 0u);
+    // The row load reads its page: the next pin starts after that read.
+    ASSERT_GT(store.pins[2 * num_shards + 2].reads_before,
+              row_load.reads_before);
+    fault_at = row_load.reads_before + 1;
+  }
+
+  ASSERT_TRUE(failpoint::SetSpec("page_file.read=err@" +
+                                 std::to_string(fault_at) + "+"));
+  auto ssd = SsdGraphStore::Open(shard_dir, /*budget_pages=*/2);
+  ASSERT_NE(ssd, nullptr);
+  PinLog store(*ssd);
+  ooc.work_dir = root + "/fault";
+  TrainResult result;
+  const Status s = TryTrainOutOfCore(
+      store, ProximityKind::kPreferentialAttachment, cfg, ooc, &result);
+  failpoint::ClearAll();
+  EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+  // The failed pin is the window's row load, and nothing pinned after it.
+  ASSERT_EQ(store.pins.size(), 2 * num_shards + 2);
+  EXPECT_FALSE(store.pins.back().ok);
 }
 
 TEST_F(OocoreTrainTest, WorkDirReuseHitsWarmCachesAndStaysIdentical) {

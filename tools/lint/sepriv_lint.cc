@@ -281,16 +281,16 @@ const std::set<std::string>& IoResultFunctions() {
   static const std::set<std::string> kSet = {
       // util/page_file.h
       "ReadPage", "WritePage", "AppendPage", "Sync", "TryReadPage",
-      "TryWritePage", "TryAppendPage", "TrySync",
+      "TryReadPrefix", "TryWritePage", "TryAppendPage", "TrySync",
       // util/buffer_pool.h
       "TryPin",
       // embedding/sample_store.h + core/batch_gradient_engine.h
-      "Append", "Finish", "TryPinShard", "TryAccumulateBatch",
+      "Append", "Finish", "TryOpen", "TryPinShard", "TryAccumulateBatch",
       // core/checkpoint.h + util/atomic_file.h + graph/shard.h
       "SaveCheckpoint", "LoadCheckpoint", "WriteFileAtomic",
       "ReadFileToString", "SaveShardManifest", "WriteGraphShards",
-      // util/record_file.h: RecordWriter::Publish, RecordReader::Open
-      "Publish", "Open",
+      // util/record_file.h: RecordWriter::Publish, RecordReader::Open/Parse
+      "Publish", "Open", "Parse",
   };
   return kSet;
 }

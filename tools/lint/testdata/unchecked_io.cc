@@ -13,6 +13,7 @@ struct PageFile {
   bool WritePage(unsigned long page, const void* data);
   bool Sync();
   Status TryReadPage(unsigned long page, void* out) const;
+  static Status TryReadPrefix(const char* path, unsigned long n, void* out);
   Status TrySync();
 };
 
@@ -29,9 +30,12 @@ struct RecordWriter {
 struct RecordReader {
   Status Open(const char* path, unsigned long magic, unsigned long version,
               const char* failpoint_base);
+  Status Parse(const char* bytes, unsigned long magic, unsigned long version,
+               const char* name);
 };
 
 Status SaveCheckpoint(const int& ckpt, const char* path);
+Status TryOpen(const char* path, unsigned long budget_pages, void* out);
 Status WriteFileAtomic(const char* path, const void* data, unsigned long n,
                        const char* failpoint_base);
 
@@ -44,11 +48,14 @@ void DiscardsEverywhere(PageFile& file, Writer& writer, char* buf) {
   writer.Finish();  // expect-lint: unchecked-io
   SaveCheckpoint(3, "ckpt.bin");  // expect-lint: unchecked-io
   WriteFileAtomic("f", buf, 8, "site");  // expect-lint: unchecked-io
+  TryOpen("samples.bin", 2, buf);  // expect-lint: unchecked-io
 }
 
 void DiscardsRecordResults(RecordWriter& w, RecordReader* r) {
   w.Publish("f.bin", "site");  // expect-lint: unchecked-io
   r->Open("f.bin", 1, 2, "site");  // expect-lint: unchecked-io
+  r->Parse("bytes", 1, 2, "header");  // expect-lint: unchecked-io
+  PageFile::TryReadPrefix("f.bin", 64, nullptr);  // expect-lint: unchecked-io
 }
 
 void PointerChainsAndVoidCasts(PageFile* file, Writer* writer, char* buf) {
@@ -76,6 +83,8 @@ Status PropagatesStatus(PageFile& file, char* buf) {
 
 bool ConsumesRecordResults(RecordWriter& w, RecordReader& r) {
   if (!r.Open("f.bin", 1, 2, "site").ok()) return false;
+  if (!r.Parse("bytes", 1, 2, "header").ok()) return false;
+  if (!PageFile::TryReadPrefix("f.bin", 64, nullptr).ok()) return false;
   return w.Publish("f.bin", "site").ok();
 }
 
